@@ -9,7 +9,9 @@ Extended to a three-way comparison: the hash-consed ``shared`` family
 attacks the same redundancy from the bitmap side — converged variables
 hold identical sets, which the intern table stores once — so its
 points-to footprint must also land strictly below plain bitmaps on the
-large workloads.
+large workloads.  The interned bignum ``int`` family gets the same
+bitmap-normalized table, so the two interned families can be compared
+on memory.
 """
 
 
@@ -88,3 +90,17 @@ def test_fig10_shared_memory_ratio(benchmark):
         for n in ("emacs", "wine", "linux")
     }
     assert overall > 1.0
+
+
+def test_fig10_int_memory_ratio(benchmark):
+    ratios = benchmark.pedantic(
+        lambda: _memory_ratios("int"), rounds=1, iterations=1
+    )
+    _emit(
+        "Figure 10 (ext) — bitmap pts memory / int (bignum) pts memory",
+        ratios,
+    )
+
+    # The int family interns whole sets, so it lands below plain bitmaps
+    # on every workload for every algorithm.
+    assert all(r > 1.0 for row in ratios.values() for r in row), ratios

@@ -109,9 +109,6 @@ def pytest_sessionfinish(session):  # pragma: no cover - hook
         return
     payload = {
         "scale_denominator": SCALE_DENOMINATOR,
-        # Runner shape: scaling assertions are only meaningful with real
-        # parallelism, so the budget gate needs to know what ran them.
-        "cpu_count": os.cpu_count() or 1,
         "records": sorted(
             _bench_records,
             key=lambda r: (r["workload"], r["solver"], r["pts"]),

@@ -5,7 +5,7 @@ solutions and statistics out.
 
 ::
 
-    python -m repro solve FILE [--algorithm lcd+hcd] [--pts bitmap] [--opt hu] [--k-cs 1] [--workers N]
+    python -m repro solve FILE [--algorithm lcd+hcd] [--pts bitmap] [--opt hu] [--k-cs 1]
     python -m repro analyze FILE.c [--query main::p ...] [--callgraph]
     python -m repro check FILE.c [--checker null-deref ...] [--format text|sarif|json]
     python -m repro generate BENCHMARK [--scale 128] [--seed 1] [-o FILE]
@@ -100,10 +100,9 @@ def _resolve_replay_flags(
 def _cmd_solve(args: argparse.Namespace) -> int:
     system, header = _read_system_and_header(args.file)
     _resolve_replay_flags(args, "hu", header, args.file)
-    opt = "ovs" if args.ovs else args.opt
     solver = make_solver(
-        system, args.algorithm, pts=args.pts, workers=args.workers,
-        sanitize=args.sanitize, opt=opt, k_cs=args.k_cs,
+        system, args.algorithm, pts=args.pts, sanitize=args.sanitize,
+        opt=args.opt, k_cs=args.k_cs,
     )
     solution = solver.solve()
 
@@ -148,7 +147,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     system = program.system
     _resolve_replay_flags(args, "hu")
     solver = make_solver(
-        system, args.algorithm, pts=args.pts, opt=args.opt, k_cs=args.k_cs
+        system, args.algorithm, pts=args.pts, sanitize=args.sanitize,
+        opt=args.opt, k_cs=args.k_cs,
     )
     solution = solver.solve()
 
@@ -208,7 +208,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     system, program, header = _load_checkable(args.file, args.field_mode)
     _resolve_replay_flags(args, "hu", header, args.file)
     solver = make_solver(
-        system, args.solver, pts=args.pts, opt=args.opt, k_cs=args.k_cs
+        system, args.solver, pts=args.pts, sanitize=args.sanitize,
+        opt=args.opt, k_cs=args.k_cs,
     )
     solution = solver.solve()
     expansion = getattr(solver, "context", None)
@@ -302,8 +303,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ctx_summary = ""
     for algorithm in algorithms:
         solver = make_solver(
-            system, algorithm.strip(), pts=args.pts, workers=args.workers,
-            sanitize=args.sanitize, opt=args.opt, k_cs=args.k_cs,
+            system, algorithm.strip(), pts=args.pts, sanitize=args.sanitize,
+            opt=args.opt, k_cs=args.k_cs,
         )
         solution = solver.solve()
         if reference is None:
@@ -350,8 +351,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for algorithm in algorithms:
         for family in families:
             solver = make_solver(
-                system, algorithm, pts=family, workers=args.workers,
-                sanitize=args.sanitize, opt=args.opt, k_cs=args.k_cs,
+                system, algorithm, pts=family, sanitize=args.sanitize,
+                opt=args.opt, k_cs=args.k_cs,
             )
             solution = solver.solve()
             if args.k_cs and solver.context is not None:
@@ -399,13 +400,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     _resolve_replay_flags(args, "none", header, args.file)
     if args.check == "certify":
         predicate = certifier_rejects(
-            args.algorithm, pts=args.pts, workers=args.workers,
-            sanitize=args.sanitize, opt=args.opt, k_cs=args.k_cs,
+            args.algorithm, pts=args.pts, sanitize=args.sanitize,
+            opt=args.opt, k_cs=args.k_cs,
         )
     else:
         predicate = solvers_disagree(
             args.algorithm, args.against, pts_a=args.pts, pts_b=args.pts,
-            workers=args.workers, opt=args.opt, k_cs=args.k_cs,
+            opt=args.opt, k_cs=args.k_cs,
         )
     result = minimize_system(system, predicate)
     config = {"check": args.check, "algorithm": args.algorithm}
@@ -472,7 +473,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_k_cs(p: argparse.ArgumentParser) -> None:
+    def add_pipeline_flags(p: argparse.ArgumentParser, pts_all: bool = False) -> None:
+        """Declare the solver-pipeline flags shared by every solving command.
+
+        ``pts_all`` adds verify's ``all`` choice (certify every family).
+        """
+        p.add_argument(
+            "--pts",
+            default="bitmap",
+            choices=list(FAMILY_KINDS) + (["all"] if pts_all else []),
+            help="points-to representation (default bitmap): GCC-style "
+            "sparse bitmaps, hash-consed shared bitmaps (interned, memoized "
+            "unions), per-variable BDDs, or bignum intsets (fused "
+            "word-parallel kernel)"
+            + ("; 'all' runs every family" if pts_all else ""),
+        )
+        p.add_argument(
+            "--opt",
+            default=None,
+            choices=list(OPT_STAGES),
+            help="offline optimization stage run before solving: raw "
+            "constraints (none), Rountev-style variable substitution "
+            "(ovs), hash-based value numbering (hvn), or the "
+            "union-tracking extension with location equivalence (hu); "
+            "solutions are expanded back to the original variable space, "
+            "so results are identical across stages (default hu, except "
+            "reduce, which defaults to none so repros replay the raw "
+            "failure)",
+        )
         p.add_argument(
             "--k-cs",
             type=int,
@@ -485,52 +513,20 @@ def build_parser() -> argparse.ArgumentParser:
             "(default 0, context-insensitive); composable with every "
             "algorithm and points-to family",
         )
+        p.add_argument(
+            "--sanitize", action="store_true",
+            help="install solver invariant checks (collapse consistency, "
+            "monotone growth, LCD/intern invariants); a violation aborts "
+            "with exit status 2, and under reduce --check certify it "
+            "counts as the failure being minimized",
+        )
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--algorithm",
-            default="lcd+hcd",
-            help=f"one of: {', '.join(available_solvers())}",
-        )
-        p.add_argument(
-            "--pts",
-            default="bitmap",
-            choices=list(FAMILY_KINDS),
-            help="points-to representation: GCC-style sparse bitmaps, "
-            "hash-consed shared bitmaps (interned, memoized unions), "
-            "per-variable BDDs, or bignum intsets (fused word-parallel "
-            "kernel)",
-        )
-        p.add_argument(
-            "--opt",
-            default=None,
-            choices=list(OPT_STAGES),
-            help="offline optimization stage run before solving: raw "
-            "constraints (none), Rountev-style variable substitution "
-            "(ovs), hash-based value numbering (hvn), or the "
-            "union-tracking extension with location equivalence (hu, "
-            "the default); solutions are expanded back to the original "
-            "variable space, so results are identical across stages",
-        )
-        add_k_cs(p)
+    algorithm_help = f"one of: {', '.join(available_solvers())}"
 
     p_solve = sub.add_parser("solve", help="solve a constraint file")
     p_solve.add_argument("file")
-    common(p_solve)
-    p_solve.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallel solvers (wave-par); "
-        "results are identical at any count",
-    )
-    p_solve.add_argument(
-        "--ovs", action="store_true",
-        help="deprecated alias for --opt ovs (overrides --opt)",
-    )
-    p_solve.add_argument(
-        "--sanitize", action="store_true",
-        help="install solver invariant checks (collapse consistency, "
-        "monotone growth, LCD/intern invariants); aborts on violation",
-    )
+    p_solve.add_argument("--algorithm", default="lcd+hcd", help=algorithm_help)
+    add_pipeline_flags(p_solve)
     p_solve.add_argument("--all", action="store_true", help="print empty sets too")
     p_solve.add_argument("--stats", action="store_true", help="print solver counters")
     p_solve.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -545,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="analyze a C-subset source file")
     p_analyze.add_argument("file")
-    common(p_analyze)
+    p_analyze.add_argument("--algorithm", default="lcd+hcd", help=algorithm_help)
+    add_pipeline_flags(p_analyze)
     p_analyze.add_argument("--query", nargs="*", help="variable names to report")
     p_analyze.add_argument("--callgraph", action="store_true")
     p_analyze.add_argument(
@@ -565,23 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--solver",
         default="lcd+hcd",
-        help=f"points-to algorithm to check against; one of: "
-        f"{', '.join(available_solvers())}",
+        help=f"points-to algorithm to check against; {algorithm_help}",
     )
-    p_check.add_argument(
-        "--pts",
-        default="bitmap",
-        choices=list(FAMILY_KINDS),
-        help="points-to representation (alias queries use its native AND)",
-    )
-    p_check.add_argument(
-        "--opt",
-        default=None,
-        choices=list(OPT_STAGES),
-        help="offline optimization stage run before solving (results "
-        "are identical across stages; default hu)",
-    )
-    add_k_cs(p_check)
+    add_pipeline_flags(p_check)
     p_check.add_argument(
         "--checker",
         action="append",
@@ -630,28 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="run several algorithms on one file")
     p_compare.add_argument("file")
     p_compare.add_argument("--algorithms", help="comma-separated solver names")
-    p_compare.add_argument(
-        "--pts",
-        default="bitmap",
-        choices=list(FAMILY_KINDS),
-        help="points-to representation (bitmap, shared, bdd, or int)",
-    )
-    p_compare.add_argument(
-        "--opt",
-        default=None,
-        choices=list(OPT_STAGES),
-        help="offline optimization stage run before every solve "
-        "(default hu)",
-    )
-    add_k_cs(p_compare)
-    p_compare.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallel solvers (wave-par)",
-    )
-    p_compare.add_argument(
-        "--sanitize", action="store_true",
-        help="install solver invariant checks on every run",
-    )
+    add_pipeline_flags(p_compare)
     p_compare.set_defaults(func=_cmd_compare)
 
     p_verify = sub.add_parser(
@@ -665,31 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated solver names, or 'all' for every "
         "inclusion-based configuration",
     )
-    p_verify.add_argument(
-        "--pts",
-        default="bitmap",
-        choices=list(FAMILY_KINDS) + ["all"],
-        help="points-to representation, or 'all' for every family",
-    )
-    p_verify.add_argument(
-        "--opt",
-        default=None,
-        choices=list(OPT_STAGES),
-        help="offline optimization stage run before solving (default "
-        "hu); the certifier checks the expanded solution against the "
-        "*original* constraints, so certification covers the "
-        "substitution map too (at --k-cs > 0, against the "
-        "context-expanded constraints — see docs/internals.md)",
-    )
-    add_k_cs(p_verify)
-    p_verify.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallel solvers (wave-par)",
-    )
-    p_verify.add_argument(
-        "--sanitize", action="store_true",
-        help="also install solver invariant checks while solving",
-    )
+    add_pipeline_flags(p_verify, pts_all=True)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_reduce = sub.add_parser(
@@ -704,39 +642,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="failure predicate: the certifier rejects --algorithm's "
         "solution, or --algorithm disagrees with --against",
     )
-    p_reduce.add_argument(
-        "--algorithm",
-        default="lcd+hcd",
-        help=f"one of: {', '.join(available_solvers())}",
-    )
+    p_reduce.add_argument("--algorithm", default="lcd+hcd", help=algorithm_help)
     p_reduce.add_argument(
         "--against",
         default="naive",
         help="second solver for --check disagree",
     )
-    p_reduce.add_argument(
-        "--pts",
-        default="bitmap",
-        choices=list(FAMILY_KINDS),
-        help="points-to representation used while replaying",
-    )
-    p_reduce.add_argument(
-        "--opt",
-        default=None,
-        choices=list(OPT_STAGES),
-        help="offline optimization stage applied while replaying the "
-        "predicate (default none: repros replay the raw failure)",
-    )
-    add_k_cs(p_reduce)
-    p_reduce.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallel solvers (wave-par)",
-    )
-    p_reduce.add_argument(
-        "--sanitize", action="store_true",
-        help="treat sanitizer InvariantViolation as failure too "
-        "(--check certify)",
-    )
+    add_pipeline_flags(p_reduce)
     p_reduce.add_argument("-o", "--output", help="write the repro here")
     p_reduce.set_defaults(func=_cmd_reduce)
 

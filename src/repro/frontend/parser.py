@@ -10,7 +10,8 @@ implementations "handle all aspects of the C language except varargs").
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import functools
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.frontend import cast as ast
 from repro.frontend.lexer import Token, TokenKind, tokenize
@@ -38,6 +39,16 @@ _BINARY_PRECEDENCE = {
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
 
+#: Most recursive grammar rules that may be open at once.  Every level
+#: costs interpreter frames here and in the AST passes after parsing, so
+#: this bound keeps hostile input (thousands of nested parentheses, ``*``
+#: operators or blocks) inside Python's default recursion limit and turns
+#: it into a located :class:`ParseError`.  A parenthesized subexpression
+#: opens three rules: assignment, conditional and unary.
+MAX_NESTING = 200
+
+_T = TypeVar("_T")
+
 
 class ParseError(ValueError):
     """Raised on a syntax error, with source position."""
@@ -47,12 +58,32 @@ class ParseError(ValueError):
         self.token = token
 
 
+def _nesting_level(rule: Callable[["Parser"], _T]) -> Callable[["Parser"], _T]:
+    """Count one level of nesting around a recursive grammar rule.
+
+    A :class:`ParseError` abandons the parser, so the count is not
+    unwound on the error path.
+    """
+
+    @functools.wraps(rule)
+    def guarded(self: "Parser") -> _T:
+        if self._depth == MAX_NESTING:
+            raise self._error(f"nesting exceeds {MAX_NESTING} levels")
+        self._depth += 1
+        result = rule(self)
+        self._depth -= 1
+        return result
+
+    return guarded
+
+
 class Parser:
     """One-token-lookahead recursive-descent parser."""
 
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -207,6 +238,7 @@ class Parser:
 
         return ctype, name, None, False
 
+    @_nesting_level
     def _parse_param_list(self) -> Tuple[List[ast.Param], bool]:
         """Parse up to and including the closing ``)``."""
         params: List[ast.Param] = []
@@ -244,6 +276,7 @@ class Parser:
             return ast.Comma(line=expr.line, parts=parts)
         return expr
 
+    @_nesting_level
     def _parse_assignment(self) -> ast.Expr:
         left = self._parse_conditional()
         token = self._current
@@ -253,6 +286,7 @@ class Parser:
             return ast.Assign(line=token.line, op=token.text, target=left, value=right)
         return left
 
+    @_nesting_level
     def _parse_conditional(self) -> ast.Expr:
         condition = self._parse_binary(1)
         if self._accept_op("?"):
@@ -279,6 +313,7 @@ class Parser:
             right = self._parse_binary(precedence + 1)
             left = ast.Binary(line=token.line, op=token.text, left=left, right=right)
 
+    @_nesting_level
     def _parse_unary(self) -> ast.Expr:
         token = self._current
         if token.kind is TokenKind.OP and token.text in ("*", "&", "-", "+", "!", "~"):
@@ -388,6 +423,7 @@ class Parser:
     # Statements
     # ------------------------------------------------------------------
 
+    @_nesting_level
     def _parse_statement(self) -> ast.Stmt:
         token = self._current
         if token.is_op("{"):
@@ -551,6 +587,7 @@ class Parser:
             return declarations[0]
         return ast.DeclGroup(line=line, declarations=declarations)
 
+    @_nesting_level
     def _parse_brace_initializer(self) -> List[ast.Expr]:
         self._expect_op("{")
         elements: List[ast.Expr] = []

@@ -17,64 +17,10 @@ be permuted to restore topological order.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 Successors = Callable[[int], Iterable[int]]
 Predecessors = Callable[[int], Iterable[int]]
-
-
-def topological_levels(
-    nodes: Iterable[int], successors: Successors
-) -> List[List[int]]:
-    """Schedule a DAG into topological *levels* (longest-path layering).
-
-    Level ``k`` holds the nodes whose longest incoming path has ``k``
-    edges, so every edge crosses from a lower level to a strictly higher
-    one and nodes within a level are mutually independent — the wave
-    solvers use this as a parallel schedule with a barrier per level.
-
-    ``successors`` may yield duplicates and self-loops (both ignored), and
-    successors outside ``nodes`` are skipped.  Each level is sorted
-    ascending, making the schedule deterministic.  Raises ``ValueError``
-    if the (restricted) graph has a cycle.
-    """
-    node_list = list(nodes)
-    node_set = set(node_list)
-    succ_map: Dict[int, List[int]] = {}
-    indegree: Dict[int, int] = {node: 0 for node in node_list}
-    for node in node_list:
-        outs = sorted(
-            {succ for succ in successors(node) if succ != node and succ in node_set}
-        )
-        succ_map[node] = outs
-        for succ in outs:
-            indegree[succ] += 1
-
-    level: Dict[int, int] = {node: 0 for node in node_list}
-    ready = deque(sorted(node for node in node_list if indegree[node] == 0))
-    processed = 0
-    while ready:
-        node = ready.popleft()
-        processed += 1
-        next_level = level[node] + 1
-        for succ in succ_map[node]:
-            if next_level > level[succ]:
-                level[succ] = next_level
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if processed != len(node_list):
-        raise ValueError("topological_levels requires an acyclic graph")
-
-    if not node_list:
-        return []
-    levels: List[List[int]] = [[] for _ in range(max(level.values()) + 1)]
-    for node in node_list:
-        levels[level[node]].append(node)
-    for members in levels:
-        members.sort()
-    return levels
 
 
 class CycleFound(Exception):

@@ -58,35 +58,6 @@ class OptStats:
 
 
 @dataclass
-class ParallelStats:
-    """Extra counters kept by the parallel wave solver (``wave-par``).
-
-    ``worker_seconds`` is wall-time summed over worker tasks; comparing
-    it against ``solve_seconds`` shows how much of the solve actually ran
-    inside the pool versus in the coordinating process.
-    """
-
-    workers: int = 1
-    waves: int = 0
-    levels: int = 0
-    tasks_dispatched: int = 0
-    tasks_inline: int = 0
-    deltas_merged: int = 0
-    worker_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "workers": self.workers,
-            "waves": self.waves,
-            "levels": self.levels,
-            "tasks_dispatched": self.tasks_dispatched,
-            "tasks_inline": self.tasks_inline,
-            "deltas_merged": self.deltas_merged,
-            "worker_seconds": self.worker_seconds,
-        }
-
-
-@dataclass
 class SolverStats:
     """Counters and timings for one solver run."""
 
@@ -102,8 +73,6 @@ class SolverStats:
     solve_seconds: float = 0.0
     pts_memory_bytes: int = 0
     graph_memory_bytes: int = 0
-    #: Filled in by solvers that fan work out across a pool.
-    parallel: Optional[ParallelStats] = None
     #: Filled in by runs using the hash-consed "shared" points-to family.
     intern: Optional[InternStats] = None
     #: Filled in by runs with the invariant sanitizer installed.
@@ -132,9 +101,6 @@ class SolverStats:
             "pts_memory_bytes": self.pts_memory_bytes,
             "graph_memory_bytes": self.graph_memory_bytes,
         }
-        if self.parallel is not None:
-            for key, value in self.parallel.as_dict().items():
-                data[f"parallel_{key}"] = value
         if self.intern is not None:
             for key, value in self.intern.as_dict().items():
                 data[f"intern_{key}"] = value

@@ -26,7 +26,6 @@ from repro.solvers.pkh import PKHSolver
 from repro.solvers.pkh03 import PKH03Solver
 from repro.solvers.steensgaard import SteensgaardSolver
 from repro.solvers.wave import WaveSolver
-from repro.solvers.wave_par import WaveParallelSolver
 
 _BASE_SOLVERS: Dict[str, Type[BaseSolver]] = {
     "naive": NaiveSolver,
@@ -42,10 +41,6 @@ _BASE_SOLVERS: Dict[str, Type[BaseSolver]] = {
     # Extension: Wave Propagation (Pereira & Berlin, CGO 2009), the
     # follow-on work built on this paper's foundations.
     "wave": WaveSolver,
-    # Extension: level-scheduled wave propagation with a multiprocessing
-    # fan-out per topological level (bit-identical to "wave" at any
-    # worker count; see solvers/wave_par.py).
-    "wave-par": WaveParallelSolver,
 }
 
 #: Analyses with *different precision* than inclusion-based analysis:
@@ -92,16 +87,13 @@ def make_solver(
     algorithm: str = "lcd+hcd",
     pts: str = "bitmap",
     worklist: str = "divided-lrf",
-    workers: int = 1,
     sanitize: bool = False,
     opt: str = "none",
     k_cs: int = 0,
 ) -> BaseSolver:
     """Instantiate a solver by name (without running it).
 
-    ``workers`` sizes the worker pool of solvers that support one
-    (currently ``wave-par``); other solvers ignore it.  ``sanitize``
-    installs the :mod:`repro.verify.sanitizer` invariant checks at the
+    ``sanitize`` installs the :mod:`repro.verify.sanitizer` invariant checks at the
     solver's collapse/propagate boundaries.  ``opt`` selects the offline
     optimization stage (:data:`repro.preprocess.hvn.OPT_STAGES`) run on
     the constraints before solving; solutions are transparently expanded
@@ -124,12 +116,9 @@ def make_solver(
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
     if solver_cls is HCDSolver and hcd:
         hcd = False  # "hcd+hcd" is just hcd
-    extra = {}
-    if issubclass(solver_cls, WaveParallelSolver):
-        extra["workers"] = workers
     return solver_cls(
         system, pts=pts, hcd=hcd, worklist=worklist, sanitize=sanitize,
-        opt=opt, k_cs=k_cs, **extra
+        opt=opt, k_cs=k_cs,
     )
 
 
@@ -138,13 +127,12 @@ def solve(
     algorithm: str = "lcd+hcd",
     pts: str = "bitmap",
     worklist: str = "divided-lrf",
-    workers: int = 1,
     sanitize: bool = False,
     opt: str = "none",
     k_cs: int = 0,
 ) -> PointsToSolution:
     """One-call API: build the named solver and return its solution."""
     return make_solver(
-        system, algorithm, pts=pts, worklist=worklist, workers=workers,
-        sanitize=sanitize, opt=opt, k_cs=k_cs,
+        system, algorithm, pts=pts, worklist=worklist, sanitize=sanitize,
+        opt=opt, k_cs=k_cs,
     ).solve()
