@@ -9,7 +9,7 @@ than anything it evaluates.
 
 This bench lines up the full aggressiveness spectrum on one axis:
 
-    never (naive) .. on-effect (lcd) .. periodic (pkh, wave) .. per-edge (pkh03)
+    never (naive) .. on-effect (lcd) .. periodic (pkh) .. per-edge (pkh03)
 
 and reports time plus the search-overhead counter.
 """
@@ -20,7 +20,7 @@ from conftest import emit_table, workload
 from repro.metrics.reporting import Table
 from repro.solvers.registry import make_solver
 
-SPECTRUM = ["naive", "hcd", "lcd", "pkh", "wave", "pkh03"]
+SPECTRUM = ["naive", "hcd", "lcd", "pkh", "pkh03"]
 BENCHES = ["emacs", "ghostscript", "linux"]
 
 _results = {}

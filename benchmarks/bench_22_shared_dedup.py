@@ -21,7 +21,7 @@ from conftest import emit_table, run_solver
 from repro.metrics.reporting import Table
 from repro.workloads import BENCHMARK_ORDER
 
-ALGORITHMS = ["lcd", "lcd+hcd", "wave"]
+ALGORITHMS = ["lcd", "lcd+hcd"]
 
 
 def test_shared_dedup(benchmark):

@@ -1,16 +1,16 @@
-"""Extension — four-way offline-pipeline ablation: none/ovs/hvn/hu.
+"""Extension — three-way offline-pipeline ablation: none/ovs/hu.
 
-Not a paper table: this is the budget gate for the HVN/HU offline
+Not a paper table: this is the budget gate for the HU offline
 optimization stage (``preprocess/hvn.py``, Hardekopf & Lin SAS 2007).
 Each workload is solved end-to-end — offline stage *included* — under
-every ``--opt`` stage, recording what the stage removed (live nodes,
-constraints) and what that bought (wall time).
+every ``--opt`` stage (:data:`OPT_STAGES`), recording what the stage
+removed (live nodes, constraints) and what that bought (wall time).
 
 Two budgets arm at REPRO_SCALE ≤ 128:
 
-- **node reduction**: HVN+HU must leave at most 70% of OVS's live
-  online nodes (the ISSUE's "≥30% geo-mean reduction over OVS-only"),
-  measured as geo-mean ``hu_nodes / ovs_nodes`` over emacs/wine/linux;
+- **node reduction**: HU must leave at most 70% of OVS's live online
+  nodes (a ≥30% geo-mean reduction over OVS alone), measured as
+  geo-mean ``hu_nodes / ovs_nodes`` over emacs/wine/linux;
 - **speedup**: end-to-end ``lcd+hcd --pts int`` under ``--opt hu`` must
   be ≥1.3x geo-mean faster than under ``--opt ovs``.
 
@@ -40,8 +40,7 @@ def _timed_run(system, opt: str):
     constructor, and charging it is the whole point of this ablation.
     The minimum is the noise-robust estimator here — the small stages
     finish in milliseconds, and a single scheduler hiccup inside a
-    median-of-3 is enough to flip the ratio when this bench runs after
-    the parallel-scaling one in the same session.
+    median-of-3 is enough to flip the ratio.
     """
     best = None
     solver = None

@@ -20,6 +20,7 @@ import os
 from typing import List, Set
 
 from repro.checkers.diagnostics import CheckReport, Diagnostic
+from repro.inputs import InputError, read_text
 
 BASELINE_VERSION = 1
 
@@ -43,9 +44,13 @@ def write_baseline(path: str, report: CheckReport) -> int:
 
 
 def read_baseline(path: str) -> Set[str]:
-    """The recorded fingerprint set (raises on malformed files)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+    """The recorded fingerprint set (raises on malformed files; invalid
+    UTF-8 or JSON is an :class:`InputError` at its line and column)."""
+    text = read_text(path)
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
     if (
         not isinstance(document, dict)
         or document.get("version") != BASELINE_VERSION

@@ -34,26 +34,26 @@ from repro.constraints.parser import (
 )
 from repro.contexts import K_LEVELS
 from repro.frontend.generator import generate_constraints
+from repro.inputs import InputError, read_text
 from repro.metrics.memory import to_megabytes
 from repro.metrics.reporting import Table, format_ctx_summary, format_opt_summary
 from repro.points_to.interface import FAMILY_KINDS
 from repro.preprocess.hvn import OPT_STAGES, preprocess_system
-from repro.preprocess.ovs import offline_variable_substitution
 from repro.solvers.registry import available_solvers, make_solver
 from repro.verify.sanitizer import InvariantViolation
 from repro.workloads import BENCHMARK_ORDER, generate_workload
 
 
 def _read_system(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return read_constraints(handle)
+    return read_constraints(io.StringIO(read_text(path)))
 
 
-def _read_system_and_header(path: str) -> Tuple[object, Dict[str, str]]:
-    """Load a constraint file plus its repro-config header (``{}`` if none)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return read_constraints(io.StringIO(text)), parse_repro_header(text)
+def _read_system_and_header(path: str) -> Tuple[object, Dict[str, str], int]:
+    """Load a constraint file plus its repro-config header: the mapping
+    (``{}`` if none) and its line number (0 if none)."""
+    text = read_text(path)
+    header, header_line = parse_repro_header(text)
+    return read_constraints(io.StringIO(text)), header, header_line
 
 
 def _resolve_replay_flags(
@@ -61,32 +61,40 @@ def _resolve_replay_flags(
     default_opt: str,
     header: Optional[Dict[str, str]] = None,
     path: str = "",
+    header_line: int = 0,
 ) -> None:
     """Fill in the ``--opt`` / ``--k-cs`` sentinels on ``args``.
 
     A value the user passed explicitly always wins; otherwise a repro
     header's recorded value is adopted (with a stderr note, so replays
     are never silent); otherwise the command's built-in default applies.
+    A recorded value outside the flag's choices is an :class:`InputError`
+    at ``path:header_line`` listing the valid values.
     """
     header = header or {}
+
+    def recorded(key: str, noun: str, valid: List[str]) -> str:
+        value = header[key]
+        if value not in valid:
+            raise InputError(
+                path,
+                f"repro header records unknown {noun} {value!r}; "
+                f"valid: {', '.join(valid)}",
+                line=header_line,
+            )
+        return value
+
     adopted = []
     if args.opt is None:
         if "opt" in header:
-            if header["opt"] not in OPT_STAGES:
-                raise ValueError(
-                    f"repro header records unknown opt stage {header['opt']!r}"
-                )
-            args.opt = header["opt"]
+            args.opt = recorded("opt", "opt stage", list(OPT_STAGES))
             adopted.append(f"--opt {args.opt}")
         else:
             args.opt = default_opt
     if args.k_cs is None:
         if "k-cs" in header:
-            k = int(header["k-cs"])
-            if k not in K_LEVELS:
-                raise ValueError(f"repro header records unknown k-cs level {k}")
-            args.k_cs = k
-            adopted.append(f"--k-cs {k}")
+            args.k_cs = int(recorded("k-cs", "k-cs level", [str(k) for k in K_LEVELS]))
+            adopted.append(f"--k-cs {args.k_cs}")
         else:
             args.k_cs = 0
     if adopted:
@@ -98,8 +106,8 @@ def _resolve_replay_flags(
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    system, header = _read_system_and_header(args.file)
-    _resolve_replay_flags(args, "hu", header, args.file)
+    system, header, header_line = _read_system_and_header(args.file)
+    _resolve_replay_flags(args, "hu", header, args.file, header_line)
     solver = make_solver(
         system, args.algorithm, pts=args.pts, sanitize=args.sanitize,
         opt=args.opt, k_cs=args.k_cs,
@@ -141,9 +149,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    program = generate_constraints(source, field_mode=args.field_mode)
+    program = generate_constraints(read_text(args.file), field_mode=args.field_mode)
     system = program.system
     _resolve_replay_flags(args, "hu")
     solver = make_solver(
@@ -185,18 +191,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _load_checkable(path: str, field_mode: str):
     """Load ``path`` as a front-end program (``.c``) or constraint file.
 
-    Returns ``(system, program_or_None, header)`` — checkers degrade
-    gracefully on bare constraint systems (minimized repros, generated
-    workloads); ``header`` is the repro-config mapping of a ``.cons``
-    input (``{}`` otherwise).
+    Returns ``(system, program_or_None, header, header_line)`` — checkers
+    degrade gracefully on bare constraint systems (minimized repros,
+    generated workloads); ``header`` is the repro-config mapping of a
+    ``.cons`` input (``{}`` otherwise) and ``header_line`` its line.
     """
     if path.endswith(".cons"):
-        system, header = _read_system_and_header(path)
-        return system, None, header
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    program = generate_constraints(source, field_mode=field_mode)
-    return program.system, program, {}
+        system, header, header_line = _read_system_and_header(path)
+        return system, None, header, header_line
+    program = generate_constraints(read_text(path), field_mode=field_mode)
+    return program.system, program, {}, 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -205,8 +209,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.checkers import Severity, run_checkers, to_sarif
     from repro.checkers.baseline import apply_baseline
 
-    system, program, header = _load_checkable(args.file, args.field_mode)
-    _resolve_replay_flags(args, "hu", header, args.file)
+    system, program, header, header_line = _load_checkable(
+        args.file, args.field_mode
+    )
+    _resolve_replay_flags(args, "hu", header, args.file, header_line)
     solver = make_solver(
         system, args.solver, pts=args.pts, sanitize=args.sanitize,
         opt=args.opt, k_cs=args.k_cs,
@@ -289,8 +295,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    system, header = _read_system_and_header(args.file)
-    _resolve_replay_flags(args, "hu", header, args.file)
+    system, header, header_line = _read_system_and_header(args.file)
+    _resolve_replay_flags(args, "hu", header, args.file, header_line)
     algorithms = args.algorithms.split(",") if args.algorithms else [
         "ht", "pkh", "lcd", "hcd", "lcd+hcd",
     ]
@@ -334,8 +340,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify.certifier import certify
 
-    system, header = _read_system_and_header(args.file)
-    _resolve_replay_flags(args, "hu", header, args.file)
+    system, header, header_line = _read_system_and_header(args.file)
+    _resolve_replay_flags(args, "hu", header, args.file, header_line)
     if args.algorithms == "all":
         algorithms = available_solvers()
     else:
@@ -396,8 +402,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         solvers_disagree,
     )
 
-    system, header = _read_system_and_header(args.file)
-    _resolve_replay_flags(args, "none", header, args.file)
+    system, header, header_line = _read_system_and_header(args.file)
+    _resolve_replay_flags(args, "none", header, args.file, header_line)
     if args.check == "certify":
         predicate = certifier_rejects(
             args.algorithm, pts=args.pts, sanitize=args.sanitize,
@@ -448,21 +454,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"functions:    {len(system.functions)}")
     print(f"address-taken variables: {len(system.address_taken())}")
     print(f"dereferenced variables:  {len(system.dereferenced())}")
-    ovs = offline_variable_substitution(system)
+    ovs = preprocess_system(system, "ovs")
     print(
         f"OVS: {len(system)} -> {len(ovs.reduced)} constraints "
         f"({ovs.reduction_ratio:.0%} reduction, "
         f"{ovs.merged_count()} variables substituted)"
     )
-    for stage in ("hvn", "hu"):
-        pre = preprocess_system(system, stage)
-        print(
-            f"{stage.upper()}: {len(system)} -> {len(pre.reduced)} constraints "
-            f"({pre.reduction_ratio:.0%} reduction, "
-            f"{pre.merged_count()} variables substituted, "
-            f"{pre.locations_merged()} locations merged, "
-            f"{pre.passes} passes)"
-        )
+    hu = preprocess_system(system, "hu")
+    print(
+        f"HU: {len(system)} -> {len(hu.reduced)} constraints "
+        f"({hu.reduction_ratio:.0%} reduction, "
+        f"{hu.merged_count()} variables substituted, "
+        f"{hu.locations_merged()} locations merged, "
+        f"{hu.passes} passes)"
+    )
     return 0
 
 
@@ -494,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(OPT_STAGES),
             help="offline optimization stage run before solving: raw "
             "constraints (none), Rountev-style variable substitution "
-            "(ovs), hash-based value numbering (hvn), or the "
-            "union-tracking extension with location equivalence (hu); "
+            "(ovs), or Hardekopf & Lin's union-tracking HU with location "
+            "equivalence (hu); "
             "solutions are expanded back to the original variable space, "
             "so results are identical across stages (default hu, except "
             "reduce, which defaults to none so repros replay the raw "

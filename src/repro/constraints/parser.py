@@ -38,7 +38,7 @@ CLI replays the recorded ``--opt`` / ``--k-cs`` flags.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Mapping, TextIO
+from typing import Dict, List, Mapping, TextIO, Tuple
 
 #: Leading-comment marker for the replayable CLI configuration.
 REPRO_HEADER_PREFIX = "# repro-config:"
@@ -310,14 +310,15 @@ def format_repro_header(config: Mapping[str, object]) -> str:
     return f"{REPRO_HEADER_PREFIX} " + " ".join(parts)
 
 
-def parse_repro_header(text: str) -> Dict[str, str]:
+def parse_repro_header(text: str) -> Tuple[Dict[str, str], int]:
     """Recover the repro-config mapping from a constraint file's text.
 
     Only the leading comment block is searched — a ``# repro-config:``
     buried after the first directive is ignored, so constraint payloads
-    can never smuggle a header in.  Returns ``{}`` when absent.
+    can never smuggle a header in.  Returns the mapping and the header's
+    1-based line number, or ``({}, 0)`` when absent.
     """
-    for raw_line in text.splitlines():
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line:
             continue
@@ -326,11 +327,11 @@ def parse_repro_header(text: str) -> Dict[str, str]:
             for token in line[len(REPRO_HEADER_PREFIX):].split():
                 key, sep, value = token.partition("=")
                 if not sep or not key:
-                    raise ValueError(
-                        f"malformed repro-config entry {token!r}"
+                    raise ConstraintParseError(
+                        line_no, f"malformed repro-config entry {token!r}"
                     )
                 config[key] = value
-            return config
+            return config, line_no
         if not line.startswith("#"):
             break
-    return {}
+    return {}, 0

@@ -70,8 +70,8 @@ class IntBitSet:
     """A mutable set of non-negative integers stored as one bignum.
 
     API-compatible with the slice of :class:`SparseBitmap` the solver
-    shell uses for its difference-processing state (``complex_done``,
-    ``prev_pts``, the HCD done-sets): membership, ``add``/``discard``,
+    shell uses for its difference-processing state (``complex_done``
+    and the HCD done-sets): membership, ``add``/``discard``,
     destructive union/intersection/difference, ``copy`` and ascending
     iteration.  The fused solver kernel reaches through ``.bits`` to run
     whole-set operations as single bignum expressions.

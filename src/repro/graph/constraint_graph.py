@@ -57,14 +57,6 @@ class ConstraintGraph:
         self.pending_complex: List[List[Tuple[Set, Set, Set, SparseBitmap]]] = [
             [] for _ in range(n)
         ]
-        #: prev_pts[n] — pointees already offered to n's successors, used
-        #: only by solvers running in difference-propagation mode (Pearce
-        #: et al. 2003).  Family-allocated scratch, like ``complex_done``.
-        self.prev_pts = [family.make_scratch() for _ in range(n)]
-        #: Edges added since their source last propagated: these must carry
-        #: the *full* set once (difference propagation only covers edges
-        #: that existed at the previous offer).
-        self.fresh_edges: List[List[int]] = [[] for _ in range(n)]
         self._load_constraints(system)
 
     def _load_constraints(self, system: ConstraintSystem) -> None:
@@ -222,11 +214,6 @@ class ConstraintGraph:
             self.stores[rep] |= self.stores[member]
             self.offs[rep] |= self.offs[member]
             self.pending_complex[rep].extend(self.pending_complex[member])
-            # Difference-propagation state: only pointees offered over
-            # *both* sides' edges count as offered by the merged node
-            # (re-offering is sound, missing an offer is not).
-            self.prev_pts[rep].iand(self.prev_pts[member])
-            self.fresh_edges[rep].extend(self.fresh_edges[member])
             # Release the loser's state: all lookups go through find().
             self.succ[member] = self._edge_set()
             self.pts[member] = self.family.make()
@@ -235,8 +222,6 @@ class ConstraintGraph:
             self.offs[member] = set()
             self.complex_done[member] = self.family.make_scratch()
             self.pending_complex[member] = []
-            self.prev_pts[member] = self.family.make_scratch()
-            self.fresh_edges[member] = []
         if merged:
             self._normalize_succ(rep)
         return rep, merged

@@ -16,12 +16,6 @@ arbitrary-precision integer interned in the family's
 - ``copy`` is free: the handle shares the immutable canonical int until
   a mutation re-points it.
 
-The family also carries the certifier's deref union-cache trick for the
-fused solver kernel: :meth:`IntPointsToFamily.deref_union` folds the
-points-to sets of freshly-discovered pointees into a per-constraint
-accumulated union, so a load ``x = *p`` applies one cached whole-set
-union to ``x`` instead of one union per pointee.
-
 Memory accounting is liveness-based and value-deduplicated: the family
 weakly tracks every live handle and charges each distinct backing int
 once (by object identity — canonicalization makes equal values the same
@@ -36,7 +30,7 @@ stale-counted.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.datastructs.intern_table import (
     DEFAULT_MEMO_CAPACITY,
@@ -138,10 +132,6 @@ class IntPointsToFamily(PointsToFamily):
         self.sets_made = 0
         #: Live handles, tracked weakly for value-deduplicated accounting.
         self._live: "weakref.WeakSet[IntPointsToSet]" = weakref.WeakSet()
-        #: (kind, constraint index) -> accumulated deref union (bits, id).
-        #: The certifier's deref-cache: monotone per-constraint unions of
-        #: dereferenced sets, grown as new pointees surface.
-        self._deref_cache: Dict[Tuple[str, int], Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Factory
@@ -157,7 +147,7 @@ class IntPointsToFamily(PointsToFamily):
         return self.make_from_bits(bits_from_iter(locs))
 
     def make_from_bits(self, bits: int) -> IntPointsToSet:
-        """A set born whole from a raw bignum (fused-kernel deltas)."""
+        """A set born whole from a raw bignum."""
         self.sets_made += 1
         canon, node_id = self.table.intern(bits)
         made = IntPointsToSet(self.table, canon, node_id)
@@ -165,31 +155,9 @@ class IntPointsToFamily(PointsToFamily):
         return made
 
     def make_scratch(self) -> IntBitSet:
-        """Solver scratch state (done-sets, prev-sets) in kernel layout,
-        so the fused path diffs them against points-to sets bit-wise."""
+        """Solver scratch state (done-sets) in kernel layout, so the
+        fused path diffs them against points-to sets bit-wise."""
         return IntBitSet()
-
-    # ------------------------------------------------------------------
-    # Fused-kernel services
-    # ------------------------------------------------------------------
-
-    def deref_union(
-        self, cache_key: Tuple[str, int], fresh: Iterable[Tuple[int, int]]
-    ) -> Tuple[int, int]:
-        """Accumulated union of dereferenced sets for one constraint.
-
-        ``fresh`` yields the canonical ``(bits, id)`` pairs of pointees
-        not seen by this constraint before; the cache carries the union
-        of everything seen so far, so a load applies one whole-set union
-        per visit no matter how many pointees ever flowed through it.
-        Cache hits are semantically invisible: the accumulated value is
-        always the exact union of the sets folded in.
-        """
-        bits, node_id = self._deref_cache.get(cache_key, (0, self.table.empty_id))
-        for other_bits, other_id in fresh:
-            bits, node_id = self.table.union(bits, node_id, other_bits, other_id)
-        self._deref_cache[cache_key] = (bits, node_id)
-        return bits, node_id
 
     # ------------------------------------------------------------------
     # Accounting

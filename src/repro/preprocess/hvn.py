@@ -1,19 +1,16 @@
-"""The offline HVN/HU optimization lattice (Hardekopf & Lin, SAS 2007).
+"""The offline HU optimization stage (Hardekopf & Lin, SAS 2007).
 
 The companion paper to the one reproduced here ("Exploiting Pointer and
 Location Equivalence to Optimize Pointer Analysis") shows that the
-online constraint graph can be shrunk 30-60% *beyond* plain OVS by two
-offline analyses run before any solver starts:
-
-- **HVN** (hash-based value numbering) assigns every node of an offline
-  constraint graph one *value number* via hashed label sets; nodes with
-  equal numbers are pointer-equivalent (provably identical points-to
-  sets) and collapse to one online node.
-- **HU** (the union-aware extension) symbolically evaluates the label
-  *unions* instead of hashing them, so it proves strictly more
-  equivalences (``c ⊇ a, b`` with ``pts(a) ⊆ pts(b)`` still matches a
-  plain copy of ``b``) and detects provably-empty pointers whose
-  constraints are deleted outright.
+online constraint graph can be shrunk 30-60% *beyond* plain OVS by
+offline analyses run before any solver starts.  The strongest of them,
+**HU**, labels every node of an offline constraint graph with a label
+set and symbolically evaluates the label *unions*: nodes with equal label
+sets are pointer-equivalent (provably identical points-to sets) and
+collapse to one online node.  Evaluating unions proves more than hashing
+them would (``c ⊇ a, b`` with ``pts(a) ⊆ pts(b)`` still matches a plain
+copy of ``b``), and an empty label set proves a provably-empty pointer
+whose constraints are deleted outright.
 
 The offline graph distinguishes **direct** nodes (top-level variables,
 whose points-to sets are fully described by their incoming copy edges)
@@ -47,7 +44,7 @@ through one pass:
   their ADR labels coincide, which cascades into further pointer
   merges.  The substitution map re-expands set contents at export time.
 
-Each round is plain, independently-sound HVN/HU on the current system,
+Each round is plain, independently-sound HU on the current system,
 so soundness composes by induction; rounds after the first run on a
 system ~10x smaller, so the fixpoint costs little more than one pass.
 
@@ -58,7 +55,7 @@ that HU pays for itself even on small inputs.
 
 Everything is exposed as a composable pipeline stage: see
 :func:`preprocess_system` and :data:`OPT_STAGES` for the
-``--opt none|ovs|hvn|hu`` chain the solvers and the CLI consume, and
+``--opt none|ovs|hu`` chain the solvers and the CLI consume, and
 :class:`SubstitutionMap` for the contract that maps solutions of the
 reduced system back onto the original variable space.
 """
@@ -67,7 +64,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import Constraint, ConstraintKind, ConstraintSystem
@@ -75,10 +72,10 @@ from repro.graph.scc import tarjan_scc
 
 #: The offline pipeline stages, weakest to strongest.  ``none`` feeds the
 #: solver the raw constraints; ``ovs`` is Rountev-style offline variable
-#: substitution (:mod:`repro.preprocess.ovs`); ``hvn`` and ``hu`` are the
-#: SAS 2007 lattice implemented here (both include ref-node unification
-#: and location equivalence — HU additionally evaluates label unions).
-OPT_STAGES: Tuple[str, ...] = ("none", "ovs", "hvn", "hu")
+#: substitution (:mod:`repro.preprocess.ovs`); ``hu`` is the SAS 2007
+#: stage implemented here, with ref-node unification and location
+#: equivalence.
+OPT_STAGES: Tuple[str, ...] = ("none", "ovs", "hu")
 
 #: Fixpoint bound for the reduce-and-rewrite cascade.  Real constraint
 #: systems converge in 3-4 rounds; the bound only guards against
@@ -215,7 +212,6 @@ class _Structure:
 def _label_pass(
     system: ConstraintSystem,
     structure: _Structure,
-    mode: str,
     armed_stores: Optional[Set[int]] = None,
 ) -> List[int]:
     """Compute one label bitset per variable of ``system``.
@@ -223,7 +219,7 @@ def _label_pass(
     Label bit space: ``[0, num_vars)`` are interned location labels (bit
     ``l`` is the ADR label of location ``l``), ``[num_vars, 2*num_vars)``
     are the fresh labels of indirect variables, and bits above that are
-    ref-node fresh labels and HVN value numbers.
+    ref-node fresh labels.
 
     ``armed_stores`` lists constraint indices of STOREs proven to fire
     (their pointer provably reaches a location the offset is valid for);
@@ -273,7 +269,6 @@ def _label_pass(
 
     node_count = num_vars + len(ref_ids)
     fresh_base = 2 * num_vars
-    next_label = fresh_base + len(ref_ids)
 
     own_bits = [0] * node_count
     for constraint in system.constraints:
@@ -294,50 +289,19 @@ def _label_pass(
     # sinks-first; propagation wants sources first, i.e. the reverse.
     components = tarjan_scc(sorted(preds.keys() | succs.keys()), successors)
 
+    # Symbolic evaluation: a node's label set is the union of its
+    # predecessors' sets plus its own labels.  Members of one SCC share a
+    # set (same-component preds read 0 mid-walk; harmless, their own bits
+    # are OR-ed in directly).
     labels: List[int] = list(own_bits)
-    if mode == "hu":
-        # Symbolic evaluation: a node's label set is the union of its
-        # predecessors' sets plus its own labels.  Members of one SCC
-        # share a set (same-component preds read 0 mid-walk; harmless,
-        # their own bits are OR-ed in directly).
-        for component in reversed(components):
-            bits = 0
-            for member in component:
-                bits |= own_bits[member]
-                for pred in preds.get(member, ()):
-                    bits |= labels[pred]
-            for member in component:
-                labels[member] = bits
-    else:
-        # HVN: a predecessor contributes its *value number* — the
-        # interned identity of its label set — instead of the set, with
-        # the single-source inheritance rule collapsing pure copy chains.
-        value_numbers: Dict[int, int] = {}
-        for component in reversed(components):
-            member_set = set(component)
-            own = 0
-            pred_sets: Set[int] = set()
-            for member in component:
-                own |= own_bits[member]
-                for pred in preds.get(member, ()):
-                    if pred in member_set:
-                        continue
-                    pred_labels = labels[pred]
-                    if pred_labels:  # provably-empty sources add nothing
-                        pred_sets.add(pred_labels)
-            if not own and len(pred_sets) == 1:
-                bits = next(iter(pred_sets))
-            else:
-                bits = own
-                for pred_labels in pred_sets:
-                    number = value_numbers.get(pred_labels)
-                    if number is None:
-                        number = next_label
-                        next_label += 1
-                        value_numbers[pred_labels] = number
-                    bits |= 1 << number
-            for member in component:
-                labels[member] = bits
+    for component in reversed(components):
+        bits = 0
+        for member in component:
+            bits |= own_bits[member]
+            for pred in preds.get(member, ()):
+                bits |= labels[pred]
+        for member in component:
+            labels[member] = bits
 
     return labels[:num_vars]
 
@@ -381,7 +345,7 @@ def _armed_stores(system: ConstraintSystem, labels: Sequence[int]) -> Set[int]:
 
 
 def _reduce_round(
-    system: ConstraintSystem, mode: str, armed: Optional[Set[int]] = None
+    system: ConstraintSystem, armed: Optional[Set[int]] = None
 ) -> Tuple[ConstraintSystem, List[int], List[int], bool, List[int]]:
     """Run one label pass and rewrite the system over the merges found.
 
@@ -393,7 +357,7 @@ def _reduce_round(
     """
     structure = _Structure(system)
     num_vars = structure.num_vars
-    labels = _label_pass(system, structure, mode, armed)
+    labels = _label_pass(system, structure, armed)
 
     # Pointer equivalence: equal labels prove equal points-to sets.
     # Indirect variables keep their online node (stores target them by
@@ -443,8 +407,8 @@ def _reduce_round(
     return reduced, var_to_rep, loc_rep, changed, labels
 
 
-def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
-    """Run the HVN (``mode="hvn"``) or HU (``mode="hu"``) pipeline stage.
+def hvn_reduce(system: ConstraintSystem) -> PreprocessResult:
+    """Run the HU pipeline stage.
 
     Reduce-and-rewrite rounds repeat until nothing merges: rewriting
     makes proven-equivalent pointers *the same variable*, which unifies
@@ -452,8 +416,6 @@ def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
     which equalizes their users — each round therefore unlocks merges
     the previous one could not see (the paper's HR/LE cascade).
     """
-    if mode not in ("hvn", "hu"):
-        raise ValueError(f"mode must be 'hvn' or 'hu', got {mode!r}")
     start = time.perf_counter()
     num_vars = system.num_vars
 
@@ -465,7 +427,7 @@ def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
     while passes < _MAX_ROUNDS:
         passes += 1
         current, var_to_rep, loc_rep, changed, labels = _reduce_round(
-            current, mode, armed
+            current, armed
         )
         for var in range(num_vars):
             total_var_to_rep[var] = var_to_rep[total_var_to_rep[var]]
@@ -489,7 +451,7 @@ def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
 
     elapsed = time.perf_counter() - start
     return PreprocessResult(
-        stage=mode,
+        stage="hu",
         original=system,
         reduced=current,
         substitution=SubstitutionMap(total_var_to_rep, loc_members),
@@ -514,8 +476,7 @@ def _rewrite(
     A label set of 0 proves an always-empty points-to set: copies and
     offset-copies from such a variable can never act, loads and stores
     through such a pointer can never fire, and stores *of* such a value
-    write nothing — all are deleted outright (the HU detection; under
-    HVN the same rule applies to the strictly fewer empties it proves).
+    write nothing — all are deleted outright (the HU detection).
     """
     reduced: List[Constraint] = []
     seen: Set[Tuple] = set()
@@ -614,7 +575,7 @@ def preprocess_system(
             substitution=SubstitutionMap(list(ovs.var_to_rep)),
             offline_seconds=ovs.offline_seconds,
         )
-    return hvn_reduce(system, mode=opt)
+    return hvn_reduce(system)
 
 
 def live_var_count(system: ConstraintSystem) -> int:

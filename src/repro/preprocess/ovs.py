@@ -7,7 +7,9 @@ whose points-to sets are provably identical without solving — and rewrites
 the constraint system so one representative stands in for each equivalence
 class.
 
-We implement the label-propagation ("hash-based value numbering") variant:
+We implement the label-propagation variant with HU labeling (Hardekopf &
+Lin, SAS 2007): a node's label set is the *union* of its predecessors'
+label sets, which symbolically evaluates the points-to sets:
 
 1. Build an offline flow graph: copy edges ``src -> dst``; each load
    ``dst = *(p+k)`` contributes an edge from an opaque *ref node* for
@@ -70,29 +72,13 @@ class OVSResult:
         return solution.expand(self.var_to_rep)
 
 
-def offline_variable_substitution(
-    system: ConstraintSystem, mode: str = "hu"
-) -> OVSResult:
-    """Run OVS over ``system`` and return the reduced system + mapping.
-
-    ``mode`` selects the pointer-equivalence calculus, following the
-    taxonomy of Hardekopf & Lin's companion paper (SAS 2007):
-
-    - ``"hu"`` (default): a node's label is the *union* of its
-      predecessors' label sets — symbolically evaluating the points-to
-      sets, which proves the most equivalences (e.g. ``c ⊇ a, b`` with
-      ``pts(a) ⊆ pts(b)`` still matches a plain copy of ``b``).
-    - ``"hvn"``: hash-based value numbering — a node's label is the
-      interned *set of predecessor value numbers*; cheaper, strictly
-      fewer equivalences.
-    """
-    if mode not in ("hu", "hvn"):
-        raise ValueError("mode must be 'hu' or 'hvn'")
+def offline_variable_substitution(system: ConstraintSystem) -> OVSResult:
+    """Run OVS over ``system`` and return the reduced system + mapping."""
     start = time.perf_counter()
     num_vars = system.num_vars
 
     protected = _protected_vars(system)
-    label_sets = _compute_label_sets(system, protected, mode)
+    label_sets = _compute_label_sets(system, protected)
     var_to_rep = _merge_classes(num_vars, label_sets, protected)
     reduced_constraints = _rewrite_constraints(system, var_to_rep, label_sets)
 
@@ -127,7 +113,7 @@ def _protected_vars(system: ConstraintSystem) -> Set[int]:
 
 
 def _compute_label_sets(
-    system: ConstraintSystem, protected: Set[int], mode: str = "hu"
+    system: ConstraintSystem, protected: Set[int]
 ) -> List[FrozenSet[int]]:
     num_vars = system.num_vars
     ref_ids: Dict[Tuple[str, int, int], int] = {}
@@ -189,46 +175,22 @@ def _compute_label_sets(
     def interned(labels: FrozenSet) -> FrozenSet:
         return intern.setdefault(labels, labels)
 
-    # HVN mode: a predecessor contributes its *value number* (the
-    # interned identity of its label set) instead of the set itself.
-    value_numbers: Dict[FrozenSet, Tuple[str, int]] = {}
-
-    def value_number(labels: FrozenSet) -> Tuple[str, int]:
-        number = value_numbers.get(labels)
-        if number is None:
-            number = ("vn", len(value_numbers))
-            value_numbers[labels] = number
-        return number
-
     label_of: List[FrozenSet] = [frozenset()] * node_count
     for component in reversed(components):
         member_set = set(component)
-        own: Set = set()
+        labels: Set = set()
         pred_sets: Set[FrozenSet] = set()
         for member in component:
             for pred in preds.get(member, ()):
                 if pred not in member_set:
-                    pred_labels = label_of[pred]
-                    if pred_labels:  # provably-empty sources add nothing
-                        pred_sets.add(pred_labels)
+                    pred_sets.add(label_of[pred])
             for loc in base_locs.get(member, ()):
-                own.add(loc)  # interned location label: the loc id itself
+                labels.add(loc)  # interned location label: the loc id itself
             if member >= num_vars or member in protected:
-                own.add(fresh_label())
-
-        if mode == "hu":
-            labels = set(own)
-            for pred_labels in pred_sets:
-                labels.update(pred_labels)
-            frozen = interned(frozenset(labels))
-        elif not own and len(pred_sets) == 1:
-            # HVN's inheritance rule: a pure copy target shares its single
-            # source's value number (copy chains collapse).
-            frozen = next(iter(pred_sets))
-        else:
-            labels = set(own)
-            labels.update(value_number(s) for s in pred_sets)
-            frozen = interned(frozenset(labels))
+                labels.add(fresh_label())
+        for pred_labels in pred_sets:
+            labels.update(pred_labels)
+        frozen = interned(frozenset(labels))
         for member in component:
             label_of[member] = frozen
 

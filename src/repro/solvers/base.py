@@ -142,7 +142,7 @@ class BaseSolver:
         self.stats = SolverStats()
         if self.k_cs:
             # Context expansion runs before *everything* else in the
-            # offline pipeline: HVN/HU and HCD's offline pass analyze the
+            # offline pipeline: the opt stage and HCD's offline pass analyze the
             # cloned constraint system the solver will actually solve.
             context = expand_contexts(system, self.k_cs)
             self.context = context
@@ -239,7 +239,6 @@ class GraphSolver(BaseSolver):
         pts: str = "bitmap",
         hcd: bool = False,
         worklist: str = "divided-lrf",
-        difference_propagation: bool = False,
         sanitize: bool = False,
         opt: str = "none",
         k_cs: int = 0,
@@ -249,10 +248,6 @@ class GraphSolver(BaseSolver):
         )
         system = self.system  # the (possibly) offline-reduced system
         self.worklist_strategy = worklist
-        #: Difference propagation (Pearce, Kelly & Hankin, SCAM 2003):
-        #: offer successors only the pointees they have not seen, except
-        #: over newly inserted edges, which carry the full set once.
-        self.difference_propagation = difference_propagation
         self.family: PointsToFamily = make_family(pts, system.num_vars)
         #: Fused word-parallel kernel: families whose sets are canonical
         #: bignums (``int``) run batched whole-set diffs instead of the
@@ -419,7 +414,6 @@ class GraphSolver(BaseSolver):
         find = graph.find
         succ = graph.succ
         max_offset = graph.system.max_offset
-        diff_prop = self.difference_propagation
         edges_added = 0
         for dst, offset in loads:
             dst_rep = find(dst)
@@ -432,8 +426,6 @@ class GraphSolver(BaseSolver):
                     source = find(loc)
                 if source != dst_rep and succ[source].add(dst_rep):
                     edges_added += 1
-                    if diff_prop:
-                        graph.fresh_edges[source].append(dst_rep)
                     push(source)
         for src, offset in stores:
             src_rep = find(src)
@@ -446,8 +438,6 @@ class GraphSolver(BaseSolver):
                     target = find(loc)
                 if target != src_rep and succ[src_rep].add(target):
                     edges_added += 1
-                    if diff_prop:
-                        graph.fresh_edges[src_rep].append(target)
                     push(src_rep)
         for dst, offset in offs:
             dst_rep = find(dst)
@@ -481,48 +471,25 @@ class GraphSolver(BaseSolver):
 
     def _apply_complex_fused(self, loads, stores, offs, locs_bits, push) -> None:
         """Word-parallel `_apply_complex`: pointees arrive as one bignum,
-        offset filtering is a mask, the offset-copy form is one memoized
-        masked shift, and loads fold the dereferenced sets through the
-        family's deref union-cache into a single whole-set union."""
+        offset filtering is a mask, and the offset-copy form is one
+        memoized masked shift.  Loads and stores only insert edges, as on
+        the plain path."""
         graph = self.graph
         find = graph.uf.find
         succ = graph.succ
         pts_list = graph.pts
-        fresh_edges = graph.fresh_edges
-        family = self.family
-        table = family.table
-        diff_prop = self.difference_propagation
+        table = self.family.table
         edges_added = 0
         for dst, offset in loads:
             dst_rep = find(dst)
             bits = locs_bits & self._offset_mask(offset) if offset else locs_bits
-            fresh_sources = []
             while bits:
                 low = bits & -bits
                 bits ^= low
                 source = find(low.bit_length() - 1 + offset)
                 if source != dst_rep and succ[source].add(dst_rep):
                     edges_added += 1
-                    if diff_prop:
-                        fresh_edges[source].append(dst_rep)
                     push(source)
-                    fresh_sources.append(source)
-            if fresh_sources:
-                # Certifier-style deref union-cache: accumulate the union
-                # of the dereferenced sets per constraint and apply it to
-                # the destination eagerly as one whole-set union.  The
-                # inserted edges keep completeness; this only accelerates
-                # convergence toward the same least model.
-                acc_bits, acc_id = family.deref_union(
-                    ("l", dst, offset),
-                    (
-                        (pts_list[s].bits, pts_list[s].node_id)
-                        for s in fresh_sources
-                    ),
-                )
-                self.stats.propagations += 1
-                if pts_list[dst_rep].ior_bits_and_test(acc_bits, acc_id):
-                    push(dst_rep)
         for src, offset in stores:
             src_rep = find(src)
             bits = locs_bits & self._offset_mask(offset) if offset else locs_bits
@@ -532,8 +499,6 @@ class GraphSolver(BaseSolver):
                 target = find(low.bit_length() - 1 + offset)
                 if target != src_rep and succ[src_rep].add(target):
                     edges_added += 1
-                    if diff_prop:
-                        fresh_edges[src_rep].append(target)
                     push(src_rep)
         if offs:
             locs_canon, locs_id = table.intern(locs_bits)
@@ -568,102 +533,42 @@ class GraphSolver(BaseSolver):
         # already hold the same node id the union is skipped entirely —
         # cheap partial cycle suppression even without LCD/HCD.
         fast_eq = self.family.constant_time_equality
-        if not self.difference_propagation:
-            for succ in list(graph.successors(node)):
-                self.stats.propagations += 1
-                target = graph.pts_of(succ)
-                if fast_eq and target.same_as(pts):
-                    continue
-                if target.ior_and_test(pts):
-                    push(succ)
-            return
-
-        # Difference propagation: newly inserted edges get the full set
-        # once; everything else receives only the unseen delta.
-        node = graph.find(node)
-        fresh_edges = graph.fresh_edges[node]
-        if fresh_edges:
-            graph.fresh_edges[node] = []
-            offered = set()
-            for raw in fresh_edges:
-                succ = graph.find(raw)
-                if succ == node or succ in offered:
-                    continue
-                offered.add(succ)
-                self.stats.propagations += 1
-                if graph.pts_of(succ).ior_and_test(pts):
-                    push(succ)
-        prev = graph.prev_pts[node]
-        delta = [loc for loc in pts if loc not in prev]
-        if not delta:
-            return
-        for loc in delta:
-            prev.add(loc)
-        delta_set = self.family.make_from(delta)
         for succ in list(graph.successors(node)):
             self.stats.propagations += 1
-            if graph.pts_of(succ).ior_and_test(delta_set):
+            target = graph.pts_of(succ)
+            if fast_eq and target.same_as(pts):
+                continue
+            if target.ior_and_test(pts):
                 push(succ)
 
     def _propagate_fused(self, node: int, push) -> None:
         """Word-parallel propagate: one tight loop over raw successor
-        ids with the union-find hoisted, unions memoized by canonical id
-        through the intern table, and the difference-mode delta computed
-        as a single masked bignum diff."""
+        ids with the union-find hoisted and unions memoized by canonical
+        id through the intern table."""
         graph = self.graph
         uf_find = graph.uf.find
         pts_list = graph.pts
         stats = self.stats
         node = uf_find(node)
         pts = pts_list[node]
-        if not self.difference_propagation:
-            pts_bits = pts.bits
-            pts_id = pts.node_id
-            union = self.family.table.union
-            for raw in list(graph.succ[node]):
-                succ = uf_find(raw)
-                if succ == node:
-                    continue
-                stats.propagations += 1
-                target = pts_list[succ]
-                target_id = target.node_id
-                if target_id == pts_id:
-                    continue
-                merged_bits, merged_id = union(
-                    target.bits, target_id, pts_bits, pts_id
-                )
-                if merged_id != target_id:
-                    target.bits = merged_bits
-                    target.node_id = merged_id
-                    push(succ)
-            return
-
-        # Difference propagation, fused: fresh edges carry the full set
-        # once; the delta versus prev is one `pts & ~prev` bignum diff.
-        fresh_edges = graph.fresh_edges[node]
-        if fresh_edges:
-            graph.fresh_edges[node] = []
-            offered = set()
-            for raw in fresh_edges:
-                succ = uf_find(raw)
-                if succ == node or succ in offered:
-                    continue
-                offered.add(succ)
-                stats.propagations += 1
-                if pts_list[succ].ior_and_test(pts):
-                    push(succ)
-        prev = graph.prev_pts[node]
-        delta_bits = pts.bits & ~prev.bits
-        if not delta_bits:
-            return
-        prev.bits |= delta_bits
-        delta_canon, delta_id = self.family.table.intern(delta_bits)
+        pts_bits = pts.bits
+        pts_id = pts.node_id
+        union = self.family.table.union
         for raw in list(graph.succ[node]):
             succ = uf_find(raw)
             if succ == node:
                 continue
             stats.propagations += 1
-            if pts_list[succ].ior_bits_and_test(delta_canon, delta_id):
+            target = pts_list[succ]
+            target_id = target.node_id
+            if target_id == pts_id:
+                continue
+            merged_bits, merged_id = union(
+                target.bits, target_id, pts_bits, pts_id
+            )
+            if merged_id != target_id:
+                target.bits = merged_bits
+                target.node_id = merged_id
                 push(succ)
 
     # ------------------------------------------------------------------

@@ -29,7 +29,6 @@ class HCDSolver(NaiveSolver):
         pts: str = "bitmap",
         hcd: bool = True,
         worklist: str = "divided-lrf",
-        difference_propagation: bool = False,
         sanitize: bool = False,
         opt: str = "none",
         k_cs: int = 0,
@@ -40,7 +39,6 @@ class HCDSolver(NaiveSolver):
             pts=pts,
             hcd=True,
             worklist=worklist,
-            difference_propagation=difference_propagation,
             sanitize=sanitize,
             opt=opt,
             k_cs=k_cs,

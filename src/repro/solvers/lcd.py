@@ -40,11 +40,6 @@ class LCDSolver(GraphSolver):
 
     def __init__(self, *args, once_per_edge: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if self.difference_propagation:
-            raise ValueError(
-                "LCD propagates inline (its trigger compares full sets); "
-                "difference propagation is supported by naive/hcd/pkh/pkh03"
-            )
         self.once_per_edge = once_per_edge
 
     def _run(self) -> PointsToSolution:

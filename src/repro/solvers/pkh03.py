@@ -43,7 +43,6 @@ class PKH03Solver(GraphSolver):
         pts: str = "bitmap",
         hcd: bool = False,
         worklist: str = "divided-lrf",
-        difference_propagation: bool = False,
         sanitize: bool = False,
         opt: str = "none",
         k_cs: int = 0,
@@ -53,7 +52,6 @@ class PKH03Solver(GraphSolver):
             pts=pts,
             hcd=hcd,
             worklist=worklist,
-            difference_propagation=difference_propagation,
             sanitize=sanitize,
             opt=opt,
             k_cs=k_cs,
@@ -140,8 +138,6 @@ class PKH03Solver(GraphSolver):
         if src == dst or not graph.succ[src].add(dst):
             return
         self.stats.edges_added += 1
-        if self.difference_propagation:
-            graph.fresh_edges[src].append(dst)
         self.preds[dst].add(src)
         push(src)
 

@@ -25,7 +25,6 @@ from repro.solvers.naive import NaiveSolver
 from repro.solvers.pkh import PKHSolver
 from repro.solvers.pkh03 import PKH03Solver
 from repro.solvers.steensgaard import SteensgaardSolver
-from repro.solvers.wave import WaveSolver
 
 _BASE_SOLVERS: Dict[str, Type[BaseSolver]] = {
     "naive": NaiveSolver,
@@ -38,9 +37,6 @@ _BASE_SOLVERS: Dict[str, Type[BaseSolver]] = {
     "blq": BLQSolver,
     "lcd": LCDSolver,
     "hcd": HCDSolver,
-    # Extension: Wave Propagation (Pereira & Berlin, CGO 2009), the
-    # follow-on work built on this paper's foundations.
-    "wave": WaveSolver,
 }
 
 #: Analyses with *different precision* than inclusion-based analysis:

@@ -56,7 +56,7 @@ class SteensgaardSolver(BaseSolver):
         opt: str = "none",  # accepted for interface parity; always "none"
         k_cs: int = 0,
     ) -> None:
-        # HVN/HU merges are proven against the *inclusion-based* least
+        # OVS/HU merges are proven against the *inclusion-based* least
         # model; unification-based analysis computes a different relation,
         # so the substitution contract does not apply — run unoptimized.
         # Context expansion is plain cloning, which unification handles.

@@ -251,8 +251,8 @@ def _check_soundness(
     #: valid pointees ``v`` (for LOAD) and the intersection (for STORE).
     #: Distinct load/store sites frequently dereference the same
     #: variable, so both caches pay for themselves quickly.
-    deref_union: Dict[Tuple[int, int], int] = {}
-    deref_inter: Dict[Tuple[int, int], int] = {}
+    load_union: Dict[Tuple[int, int], int] = {}
+    store_inter: Dict[Tuple[int, int], int] = {}
     checks = 0
 
     def record(constraint, var, loc, pointee=None) -> None:
@@ -284,12 +284,12 @@ def _check_soundness(
             if offset:
                 valid &= _offset_mask(system, masks, offset)
             checks += valid.bit_count()
-            union = deref_union.get(key)
+            union = load_union.get(key)
             if union is None:
                 union = 0
                 for pointee in _iter_bits(valid):
                     union |= claimed_bits[pointee + offset]
-                deref_union[key] = union
+                load_union[key] = union
             if union & ~claimed_bits[dst]:
                 # Failure path: re-walk pointees for attribution.
                 for pointee in _iter_bits(valid):
@@ -304,12 +304,12 @@ def _check_soundness(
             if offset:
                 valid &= _offset_mask(system, masks, offset)
             checks += valid.bit_count()
-            inter = deref_inter.get(key)
+            inter = store_inter.get(key)
             if inter is None:
                 inter = -1  # identity: all-ones (vacuous over no pointees)
                 for pointee in _iter_bits(valid):
                     inter &= claimed_bits[pointee + offset]
-                deref_inter[key] = inter
+                store_inter[key] = inter
             if src_bits & ~inter:
                 for pointee in _iter_bits(valid):
                     target = pointee + offset

@@ -18,7 +18,7 @@ from repro.preprocess.hvn import OPT_STAGES
 pts_families = st.sampled_from(FAMILY_KINDS)
 
 #: Draw one of the offline optimization stages (--opt), so differential
-#: tests cover the none/ovs/hvn/hu pipeline uniformly.
+#: tests cover the none/ovs/hu pipeline uniformly.
 opt_stages = st.sampled_from(OPT_STAGES)
 
 #: Draw a k-CFA context-sensitivity level (--k-cs), so differential

@@ -160,7 +160,7 @@ class TestCertifierCatchesMutants:
         assert not report.precise
 
     def test_bad_offline_variable_merge_is_caught(self):
-        # Seeds the classic HVN failure mode: the offline stage merges
+        # Seeds the classic offline-substitution failure mode: the stage merges
         # two variables that are *not* pointer-equivalent, so after
         # expansion one of them reports the other's points-to set.  The
         # certifier checks the expanded solution against the original
@@ -198,7 +198,7 @@ class TestCertifierCatchesMutants:
 
     def test_optimized_solver_certifies(self, simple_system):
         # Control: unmutated optimized runs are accepted for every stage.
-        for opt in ("ovs", "hvn", "hu"):
+        for opt in ("ovs", "hu"):
             solver = make_solver(simple_system, "lcd+hcd", opt=opt)
             assert certify(simple_system, solver.solve()).ok, opt
 

@@ -96,7 +96,7 @@ class TestSolve:
         _, none_out, _ = run_cli(
             ["solve", constraint_file, "--opt", "none"], capsys
         )
-        for stage in ("ovs", "hvn", "hu"):
+        for stage in ("ovs", "hu"):
             code, out, _ = run_cli(
                 ["solve", constraint_file, "--opt", stage], capsys
             )
@@ -182,7 +182,6 @@ class TestCompareAndStats:
         assert code == 0
         assert "variables:" in out
         assert "OVS:" in out
-        assert "HVN:" in out
         assert "HU:" in out
 
     def test_verify_accepts_optimized_run(self, constraint_file, capsys):
@@ -241,6 +240,49 @@ class TestErrorHandling:
         code, _, err = run_cli(["solve", str(path)], capsys)
         assert code == 1
         assert "line 2" in err
+
+    def test_header_bad_k_cs_is_located(self, tmp_path, capsys):
+        path = tmp_path / "repro.cons"
+        path.write_text("# repro-config: opt=hu k-cs=x\nvar a\n")
+        code, _, err = run_cli(["solve", str(path)], capsys)
+        assert code == 1
+        assert err == (
+            f"error: {path}:1: repro header records unknown k-cs level 'x'; "
+            "valid: 0, 1, 2\n"
+        )
+
+    def test_header_unknown_opt_is_located(self, tmp_path, capsys):
+        path = tmp_path / "repro.cons"
+        path.write_text("# reduced by hand\n# repro-config: opt=turbo\nvar a\n")
+        code, _, err = run_cli(["solve", str(path)], capsys)
+        assert code == 1
+        assert err == (
+            f"error: {path}:2: repro header records unknown opt stage 'turbo'; "
+            "valid: none, ovs, hu\n"
+        )
+
+    def test_malformed_baseline_json_is_located(self, c_file, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text("{\n")
+        code, _, err = run_cli(["check", c_file, "--baseline", str(baseline)], capsys)
+        assert code == 1
+        assert err == (
+            f"error: {baseline}:2:1: Expecting property name enclosed in "
+            "double quotes\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["c", "cons", "baseline"])
+    def test_invalid_utf8_is_located(self, c_file, tmp_path, capsys, kind):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(b"int g;\nint *p = \xff;\n")
+        args = {
+            "c": ["check", str(bad)],
+            "cons": ["solve", str(bad)],
+            "baseline": ["check", c_file, "--baseline", str(bad)],
+        }[kind]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert err == f"error: {bad}:2:10: invalid UTF-8 byte 0xff (invalid start byte)\n"
 
     def test_unknown_algorithm(self, constraint_file, capsys):
         code, _, err = run_cli(

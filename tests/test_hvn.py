@@ -1,7 +1,7 @@
-"""Unit tests for the offline HVN/HU optimization stage.
+"""Unit tests for the offline HU optimization stage.
 
 Covers the lattice rules (ADR-label interning, copy-chain collapse, the
-HU-only union merges), provably-empty-pointer deletion, sound store
+label-union merges), provably-empty-pointer deletion, sound store
 arming, location equivalence, the substitution-map contract, and the
 pipeline dispatcher — each against the semantic ground truth: solving
 the reduced system and expanding must reproduce the naive solution of
@@ -20,7 +20,6 @@ from repro.preprocess.hvn import (
     OPT_STAGES,
     PreprocessResult,
     SubstitutionMap,
-    hvn_reduce,
     live_var_count,
     preprocess_system,
 )
@@ -46,7 +45,7 @@ def _check_preserves(system, stage):
 
 class TestDispatcher:
     def test_stage_order(self):
-        assert OPT_STAGES == ("none", "ovs", "hvn", "hu")
+        assert OPT_STAGES == ("none", "ovs", "hu")
 
     def test_unknown_stage_rejected(self, simple_system):
         with pytest.raises(ValueError, match="unknown optimization stage"):
@@ -67,10 +66,6 @@ class TestDispatcher:
         assert len(pre.reduced) == len(ovs.reduced)
         assert pre.substitution.var_to_rep == list(ovs.var_to_rep)
         assert pre.stage == "ovs"
-
-    def test_hvn_reduce_rejects_bad_mode(self, simple_system):
-        with pytest.raises(ValueError, match="mode must be"):
-            hvn_reduce(simple_system, mode="ovs")
 
     @pytest.mark.parametrize("stage", OPT_STAGES)
     def test_every_stage_preserves_fixtures(
@@ -94,7 +89,7 @@ class TestLatticeRules:
         b.address_of(q, x)
         b.assign(u, q)  # keep q live in the reduced system
         system = b.build()
-        pre = _check_preserves(system, "hvn")
+        pre = _check_preserves(system, "hu")
         sub = pre.substitution
         assert sub.var_to_rep[q] == sub.var_to_rep[p]
 
@@ -106,17 +101,16 @@ class TestLatticeRules:
         b.assign(c, a)
         b.assign(d, c)
         system = b.build()
-        pre = _check_preserves(system, "hvn")
+        pre = _check_preserves(system, "hu")
         sub = pre.substitution
         assert sub.var_to_rep[c] == sub.var_to_rep[a]
         assert sub.var_to_rep[d] == sub.var_to_rep[a]
         # Only the BASE constraint can survive.
         assert len(pre.reduced) == 1
 
-    def test_hu_proves_union_merges_hvn_cannot(self):
+    def test_hu_proves_union_merges(self):
         """``c`` receives copies of both a and b with pts(a) ⊆ pts(b):
-        HU evaluates the union and merges c with b; HVN, hashing opaque
-        value numbers, cannot."""
+        HU evaluates the union and merges c with b."""
         b = ConstraintBuilder()
         a, c, d, e, x, y = (b.var(n) for n in "acdexy")
         b.address_of(a, x)
@@ -130,12 +124,6 @@ class TestLatticeRules:
         hu = _check_preserves(system, "hu")
         assert hu.substitution.var_to_rep[c] == hu.substitution.var_to_rep[d]
         assert hu.substitution.var_to_rep[e] == hu.substitution.var_to_rep[d]
-
-        hvn = _check_preserves(system, "hvn")
-        # Pure single-source inheritance still merges e with d...
-        assert hvn.substitution.var_to_rep[e] == hvn.substitution.var_to_rep[d]
-        # ...but the two-source union does not hash equal under HVN.
-        assert hvn.substitution.var_to_rep[c] != hvn.substitution.var_to_rep[d]
 
     def test_empty_pointer_constraints_deleted(self):
         """Loads/stores through a provably-empty pointer are deleted."""
@@ -252,7 +240,7 @@ class TestPreservation:
     def test_random_systems_all_stages(self, seed):
         system = random_system(seed)
         reference = solve(system, "naive")
-        for stage in ("ovs", "hvn", "hu"):
+        for stage in ("ovs", "hu"):
             pre = preprocess_system(system, stage)
             result = pre.expand(solve(pre.reduced, "naive"))
             assert result == reference, (stage, result.diff(reference))
@@ -277,5 +265,4 @@ class TestPreservation:
             nodes[stage] = live_var_count(pre.reduced)
             _check_preserves(system, stage)
         assert nodes["ovs"] <= nodes["none"]
-        assert nodes["hvn"] <= nodes["ovs"]
-        assert nodes["hu"] <= nodes["hvn"]
+        assert nodes["hu"] <= nodes["ovs"]

@@ -249,25 +249,6 @@ class TestIntFamilyContracts:
         assert sorted(a) == sorted(target) == [1, 2, 9]
         assert target.ior_bits_and_test(b.bits, b.node_id) is False
 
-    @given(groups=st.lists(loc_lists, min_size=1, max_size=6))
-    @settings(max_examples=50, deadline=None)
-    def test_deref_cache_hits_semantically_invisible(self, groups):
-        """Feeding pointee sets through the cache in any batching yields
-        the exact union — cached prefixes never change the result."""
-        family = IntPointsToFamily()
-        key = ("l", 7)
-        expected = set()
-        for group in groups:
-            made = family.make_from(group)
-            bits, _ = family.deref_union(key, [(made.bits, made.node_id)])
-            expected |= set(group)
-            assert set(iter_bits(bits)) == expected
-        # Replaying an already-seen pointee is absorbed, not re-added.
-        if groups[0]:
-            replay = family.make_from(groups[0])
-            bits, _ = family.deref_union(key, [(replay.bits, replay.node_id)])
-            assert set(iter_bits(bits)) == expected
-
     def test_scratch_is_int_backed(self):
         family = IntPointsToFamily()
         scratch = family.make_scratch()

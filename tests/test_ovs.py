@@ -1,6 +1,5 @@
 """Tests for Offline Variable Substitution."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +52,22 @@ class TestBasicMerging:
         result = offline_variable_substitution(b.build())
         assert result.var_to_rep[c] == result.var_to_rep[d] or c == d
         assert len(result.reduced) == 0  # the dead copy is dropped
+
+    def test_union_labels_merge_subsumed_join(self):
+        """c >= a,b with pts(a) subset pts(b): the label union matches a
+        plain copy of b."""
+        b = ConstraintBuilder()
+        x, y = b.var("x"), b.var("y")
+        va, vb = b.var("a"), b.var("b")
+        b.address_of(va, x)
+        b.address_of(vb, x)
+        b.address_of(vb, y)
+        c, d = b.var("c"), b.var("d")
+        b.assign(c, va)
+        b.assign(c, vb)  # pts(c) = {x} | {x,y} = {x,y} = pts(b)
+        b.assign(d, vb)  # plain copy of b
+        result = offline_variable_substitution(b.build())
+        assert result.var_to_rep[c] == result.var_to_rep[d]
 
     def test_copy_cycle_merges(self):
         b = ConstraintBuilder()
@@ -170,63 +185,3 @@ class TestSolutionPreservation:
         assert result.merged_count() >= 0
         solution = result.expand(solve(result.reduced, "naive"))
         assert solution.points_to(q) == solution.points_to(q)
-
-
-class TestHVNMode:
-    """The HVN/HU distinction of the authors' SAS 2007 companion paper."""
-
-    def test_hvn_preserves_solution(self, simple_system):
-        result = offline_variable_substitution(simple_system, mode="hvn")
-        direct = solve(simple_system, "naive")
-        assert result.expand(solve(result.reduced, "naive")) == direct
-
-    @given(st.integers(0, 300))
-    @settings(max_examples=40, deadline=None)
-    def test_hvn_random_systems_preserved(self, seed):
-        system = random_system(seed)
-        result = offline_variable_substitution(system, mode="hvn")
-        direct = solve(system, "naive")
-        assert result.expand(solve(result.reduced, "naive")) == direct
-
-    def test_hvn_collapses_copy_chains(self):
-        b = ConstraintBuilder()
-        p, x = b.var("p"), b.var("x")
-        b.address_of(p, x)
-        t1, t2 = b.var("t1"), b.var("t2")
-        b.assign(t1, p)
-        b.assign(t2, t1)
-        result = offline_variable_substitution(b.build(), mode="hvn")
-        assert result.var_to_rep[t2] == result.var_to_rep[t1]
-
-    def test_hu_finds_at_least_as_many_equivalences(self):
-        """HU symbolically evaluates unions, so it subsumes HVN."""
-        from repro.workloads import generate_workload
-
-        for name in ("emacs", "linux"):
-            system = generate_workload(name, scale=1 / 256, seed=1)
-            hu = offline_variable_substitution(system, mode="hu")
-            hvn = offline_variable_substitution(system, mode="hvn")
-            assert hu.merged_count() >= hvn.merged_count()
-            assert len(hu.reduced) <= len(hvn.reduced)
-
-    def test_hu_strictly_better_on_subsumed_join(self):
-        """c >= a,b with pts(a) subset pts(b): HU matches a copy of b."""
-        b = ConstraintBuilder()
-        x, y = b.var("x"), b.var("y")
-        va, vb = b.var("a"), b.var("b")
-        b.address_of(va, x)
-        b.address_of(vb, x)
-        b.address_of(vb, y)
-        c, d = b.var("c"), b.var("d")
-        b.assign(c, va)
-        b.assign(c, vb)  # pts(c) = {x} | {x,y} = {x,y} = pts(b)
-        b.assign(d, vb)  # plain copy of b
-        system = b.build()
-        hu = offline_variable_substitution(system, mode="hu")
-        hvn = offline_variable_substitution(system, mode="hvn")
-        assert hu.var_to_rep[c] == hu.var_to_rep[d]
-        assert hvn.var_to_rep[c] != hvn.var_to_rep[d]
-
-    def test_unknown_mode_rejected(self, simple_system):
-        with pytest.raises(ValueError):
-            offline_variable_substitution(simple_system, mode="hr")

@@ -153,5 +153,5 @@ class TestSolutionsMatchAfterReduce:
         result = minimize_system(system, predicate)
         # Every inclusion-based solver still agrees on the shrunk system.
         reference = solve(result.system, "naive")
-        for algorithm in ("lcd+hcd", "wave", "ht"):
+        for algorithm in ("lcd+hcd", "pkh", "ht"):
             assert solve(result.system, algorithm) == reference

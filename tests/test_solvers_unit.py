@@ -2,7 +2,6 @@
 
 import pytest
 
-from conftest import random_system
 from repro.constraints.builder import ConstraintBuilder
 from repro.solvers.blq import BLQSolver
 from repro.solvers.hcd import HCDSolver
@@ -272,45 +271,3 @@ class TestRegistry:
 
     def test_case_insensitive(self, simple_system):
         assert make_solver(simple_system, " LCD+HCD ").hcd_enabled
-
-
-class TestDifferencePropagation:
-    """The Pearce et al. 2003 difference-propagation option."""
-
-    def test_matches_reference(self, simple_system, cycle_system):
-        for system in (simple_system, cycle_system):
-            reference = solve(system, "naive")
-            for cls in (NaiveSolver, PKHSolver, HCDSolver):
-                solver = cls(system, difference_propagation=True)
-                assert solver.solve() == reference, cls.__name__
-
-    def test_lcd_rejects_diff_prop(self, simple_system):
-        with pytest.raises(ValueError):
-            LCDSolver(simple_system, difference_propagation=True)
-
-    def test_new_edges_carry_full_set(self):
-        """An edge added after propagation still receives everything."""
-        b = ConstraintBuilder()
-        p, q, r, x, y = (b.var(n) for n in "pqrxy")
-        b.address_of(p, x)
-        b.address_of(p, y)
-        b.address_of(q, p)  # q points to p
-        b.store(q, p)       # *q = p: adds edge p -> p (self) — no effect
-        b.load(r, q)        # r = *q: adds edge p -> r late
-        system = b.build()
-        solver = NaiveSolver(system, difference_propagation=True)
-        solution = solver.solve()
-        assert solution.points_to(r) == {x, y}
-
-    def test_prev_state_reset_on_collapse(self, cycle_system):
-        solver = PKHSolver(cycle_system, difference_propagation=True)
-        assert solver.solve() == solve(cycle_system, "naive")
-
-    def test_random_agreement(self):
-        from conftest import random_system
-
-        for seed in range(301, 321):
-            system = random_system(seed)
-            reference = solve(system, "naive")
-            solver = PKHSolver(system, difference_propagation=True)
-            assert solver.solve() == reference, seed

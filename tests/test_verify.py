@@ -63,7 +63,7 @@ class TestCertifierAccepts:
     @pytest.mark.parametrize("name", ["emacs", "wine", "linux"])
     def test_workloads(self, name):
         system = generate_workload(name, scale=1 / 512, seed=2)
-        for algorithm in ("naive", "ht", "pkh", "lcd+hcd", "wave"):
+        for algorithm in ("naive", "ht", "pkh", "lcd+hcd", "pkh03"):
             report = certify(system, solve(system, algorithm))
             assert report.ok, (algorithm, report.summary(system))
 
@@ -169,7 +169,7 @@ class TestSanitizerCleanRuns:
     def test_workloads_clean(self, name):
         system = generate_workload(name, scale=1 / 512, seed=2)
         reference = solve(system, "naive")
-        for algorithm in ("lcd", "lcd+hcd", "hcd", "wave"):
+        for algorithm in ("lcd", "lcd+hcd", "hcd", "pkh"):
             solver = make_solver(system, algorithm, sanitize=True)
             assert solver.solve() == reference, algorithm
 
@@ -199,5 +199,5 @@ class TestSanitizerCleanRuns:
     def test_random_systems_clean_under_sanitize(self, seed):
         system = random_system(seed)
         reference = solve(system, "naive")
-        for algorithm in ("lcd", "lcd+hcd", "pkh", "wave"):
+        for algorithm in ("lcd", "lcd+hcd", "pkh", "pkh03"):
             assert solve(system, algorithm, sanitize=True) == reference
