@@ -8,10 +8,43 @@ the first thing one reaches for when debugging a pointer-analysis client.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, TextIO
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintKind, ConstraintSystem
+
+
+def pointee_names(names: Sequence[str], pointees: Iterable[int]) -> List[str]:
+    """The names of ``pointees``, sorted: how every output lists a set."""
+    return sorted([names[loc] for loc in pointees])
+
+
+class PointeeRenderer:
+    """Renders each distinct points-to set once.
+
+    ``render`` turns a set's sorted pointee names into text.  A solved
+    system holds few distinct sets: cycle collapsing and offline
+    substitution hand every variable of a class one shared frozenset, so
+    an output names and sorts each set here once instead of once per
+    variable holding it.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        render: Callable[[List[str]], str] = ", ".join,
+    ) -> None:
+        self._names = names
+        self._render = render
+        self._rendered: Dict[FrozenSet[int], str] = {}
+
+    def __call__(self, pointees: FrozenSet[int]) -> str:
+        text = self._rendered.get(pointees)
+        if text is None:
+            text = self._render(pointee_names(self._names, pointees))
+            self._rendered[pointees] = text
+        return text
 
 
 def solution_to_json(
@@ -25,27 +58,72 @@ def solution_to_json(
     Layout::
 
         {"num_vars": 7, "points_to": {"p": ["x", "y"], ...}}
+
+    The text is exactly ``json.dumps(layout, indent=indent,
+    sort_keys=True)``, assembled here instead: a :class:`PointeeRenderer`
+    names, sorts and escapes each distinct points-to set once, and the
+    document is joined once, since it is as large as the whole solution.
     """
-    points_to: Dict[str, List[str]] = {}
+    if indent is None:
+        newline = ("", "", "", "")
+        comma = ", "
+    else:
+        # newline[level] starts a line at nesting depth ``level``.
+        newline = tuple("\n" + " " * (indent * level) for level in range(4))
+        comma = ","
+    encode = encode_basestring_ascii
+    item = comma + newline[3]
+
+    def render_list(sorted_names: List[str]) -> str:
+        return "[" + newline[3] + item.join(map(encode, sorted_names)) + newline[2] + "]"
+
+    names = system.names
+    render = PointeeRenderer(names, render_list)
+    entries: Dict[str, str] = {}
     for var in range(system.num_vars):
         pointees = solution.points_to(var)
-        if pointees or include_empty:
-            points_to[system.name_of(var)] = sorted(
-                system.name_of(loc) for loc in pointees
-            )
-    return json.dumps(
-        {"num_vars": system.num_vars, "points_to": points_to},
-        indent=indent,
-        sort_keys=True,
-    )
+        if pointees:
+            entries[names[var]] = render(pointees)
+        elif include_empty:
+            entries[names[var]] = "[]"
+
+    parts = [
+        "{", newline[1], f'"num_vars": {system.num_vars}', comma,
+        newline[1], '"points_to": {',
+    ]
+    separator = newline[2]  # the first member follows the brace
+    for name in sorted(entries):
+        parts += (separator, encode(name), ": ", entries[name])
+        separator = comma + newline[2]
+    if entries:
+        parts.append(newline[1])
+    parts += ("}", newline[0], "}")
+    return "".join(parts)
 
 
 def solution_from_json(text: str, system: ConstraintSystem) -> PointsToSolution:
-    """Inverse of :func:`solution_to_json` against the same system."""
+    """Inverse of :func:`solution_to_json` against the same system.
+
+    A document written for another system raises ``ValueError`` naming
+    the field or variable that does not match.
+    """
     data = json.loads(text)
+    num_vars = data.get("num_vars")
+    if num_vars != system.num_vars:
+        raise ValueError(
+            f"num_vars is {num_vars!r}, but the system has "
+            f"{system.num_vars} variables"
+        )
     index = {name: node for node, name in enumerate(system.names)}
+
+    def node_of(name: str) -> int:
+        node = index.get(name)
+        if node is None:
+            raise ValueError(f"variable {name!r} is not in the system")
+        return node
+
     mapping = {
-        index[var]: [index[loc] for loc in locs]
+        node_of(var): [node_of(loc) for loc in locs]
         for var, locs in data["points_to"].items()
     }
     return PointsToSolution(
@@ -105,12 +183,11 @@ def constraint_graph_dot(
             )
 
     if solution is not None:
+        render = PointeeRenderer(system.names)
         for node in sorted(mentioned):
             pointees = solution.points_to(node)
             if pointees:
-                label = system.name_of(node) + "\\n{" + ", ".join(
-                    sorted(system.name_of(p) for p in pointees)
-                ) + "}"
+                label = system.name_of(node) + "\\n{" + render(pointees) + "}"
                 lines.append(f'  "{system.name_of(node)}" [label="{label}"];')
 
     lines.append("}")

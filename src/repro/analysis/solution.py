@@ -11,7 +11,7 @@ solution).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.points_to.interface import PointsToSet
@@ -46,19 +46,27 @@ class PointsToSolution:
         self._num_locs = num_locs if num_locs is not None else num_vars
         self._names = tuple(names) if names is not None else None
         self._points_to: Dict[int, FrozenSet[int]] = {}
+        # Solvers and expansion give every variable of a class one shared
+        # frozenset (frozenset() of a frozenset is the same object), so
+        # each distinct set object is bound-checked once.  Every checked
+        # object is kept alive in _points_to, so its id is never reused.
+        checked: Set[int] = set()
         for var, locs in points_to.items():
             if not 0 <= var < num_vars:
                 raise ValueError(f"variable id {var} out of range")
             frozen = frozenset(locs)
-            if frozen:
+            if not frozen:
+                continue
+            if id(frozen) not in checked:
                 # min/max bound-check the whole set at C speed.
-                if min(frozen) < 0 or max(frozen) >= self._num_locs:
-                    bad = min(frozen) if min(frozen) < 0 else max(frozen)
+                low, high = min(frozen), max(frozen)
+                if low < 0 or high >= self._num_locs:
                     raise ValueError(
-                        f"pointee id {bad} in pts({var}) outside "
-                        f"[0, {self._num_locs})"
+                        f"pointee id {low if low < 0 else high} in pts({var}) "
+                        f"outside [0, {self._num_locs})"
                     )
-                self._points_to[var] = frozen
+                checked.add(id(frozen))
+            self._points_to[var] = frozen
 
     # ------------------------------------------------------------------
     # Queries
@@ -183,30 +191,14 @@ class PointsToSolution:
         """
         if len(var_to_rep) != self._num_vars:
             raise ValueError("substitution map length != variable count")
-        expanded: Dict[int, FrozenSet[int]]
+        rep_sets = self._points_to
         if loc_members:
-            # Expand each distinct representative set once, then fan the
-            # result out to every variable in the class.
-            expanded_rep: Dict[int, FrozenSet[int]] = {}
-            for rep, compressed in self._points_to.items():
-                if compressed.isdisjoint(loc_members):
-                    expanded_rep[rep] = compressed
-                    continue
-                full = set(compressed)
-                for loc in compressed:
-                    members = loc_members.get(loc)
-                    if members is not None:
-                        full.update(members)
-                expanded_rep[rep] = frozenset(full)
-            expanded = {
-                var: expanded_rep.get(var_to_rep[var], frozenset())
-                for var in range(self._num_vars)
-            }
-        else:
-            expanded = {
-                var: self._points_to.get(var_to_rep[var], frozenset())
-                for var in range(self._num_vars)
-            }
+            rep_sets = self._expand_locations(loc_members)
+        expanded: Dict[int, FrozenSet[int]] = {}
+        for var, rep in enumerate(var_to_rep):
+            locs = rep_sets.get(rep)
+            if locs is not None:
+                expanded[var] = locs
         backing: Optional[Dict[int, "PointsToSet"]] = None
         if self._backing is not None:
             # Native sets keep compressed contents, which stays sound for
@@ -222,3 +214,26 @@ class PointsToSolution:
             expanded, self._num_vars, self._names, num_locs=self._num_locs,
             backing=backing,
         )
+
+    def _expand_locations(
+        self, loc_members: Mapping[int, Sequence[int]]
+    ) -> Dict[int, FrozenSet[int]]:
+        """Each variable's set with every location representative replaced
+        by its class.  A set object shared by several variables is
+        expanded once, and they share the result."""
+        by_object: Dict[int, FrozenSet[int]] = {}
+        result: Dict[int, FrozenSet[int]] = {}
+        for var, compressed in self._points_to.items():
+            full = by_object.get(id(compressed))
+            if full is None:
+                full = compressed
+                if not compressed.isdisjoint(loc_members):
+                    grown = set(compressed)
+                    for loc in compressed:
+                        members = loc_members.get(loc)
+                        if members is not None:
+                            grown.update(members)
+                    full = frozenset(grown)
+                by_object[id(compressed)] = full
+            result[var] = full
+        return result

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.analysis.export import pointee_names
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import (
     Constraint,
@@ -261,7 +262,7 @@ class CheckContext:
 
     def pts_names(self, var: int, limit: int = 3) -> str:
         """Human-readable pointee list for messages, truncated."""
-        names = sorted(self.system.name_of(loc) for loc in self.pts(var))
+        names = pointee_names(self.system.names, self.pts(var))
         shown = ", ".join(names[:limit])
         if len(names) > limit:
             shown += f", ... ({len(names)} total)"

@@ -22,18 +22,23 @@ recorded failure configuration unless the user overrides it explicitly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.callgraph import build_call_graph
+from repro.analysis.export import PointeeRenderer
 from repro.constraints.parser import (
+    ConstraintParseError,
     parse_repro_header,
     read_constraints,
     write_constraints,
 )
 from repro.contexts import K_LEVELS
 from repro.frontend.generator import generate_constraints
+from repro.frontend.lexer import LexError
+from repro.frontend.parser import ParseError
 from repro.inputs import InputError, read_text
 from repro.metrics.memory import to_megabytes
 from repro.metrics.reporting import Table, format_ctx_summary, format_opt_summary
@@ -44,16 +49,38 @@ from repro.verify.sanitizer import InvariantViolation
 from repro.workloads import BENCHMARK_ORDER, generate_workload
 
 
+@contextlib.contextmanager
+def _located(path: str) -> Iterator[None]:
+    """Report a syntax error in ``path`` as an :class:`InputError` at
+    ``FILE:LINE[:COL]``: the parsers know positions, not file names."""
+    try:
+        yield
+    except ConstraintParseError as exc:
+        raise InputError(path, exc.message, line=exc.line_no) from None
+    except (LexError, ParseError) as exc:
+        raise InputError(path, exc.message, line=exc.line, col=exc.column) from None
+
+
 def _read_system(path: str):
-    return read_constraints(io.StringIO(read_text(path)))
+    text = read_text(path)
+    with _located(path):
+        return read_constraints(io.StringIO(text))
 
 
 def _read_system_and_header(path: str) -> Tuple[object, Dict[str, str], int]:
     """Load a constraint file plus its repro-config header: the mapping
     (``{}`` if none) and its line number (0 if none)."""
     text = read_text(path)
-    header, header_line = parse_repro_header(text)
-    return read_constraints(io.StringIO(text)), header, header_line
+    with _located(path):
+        header, header_line = parse_repro_header(text)
+        return read_constraints(io.StringIO(text)), header, header_line
+
+
+def _read_program(path: str, field_mode: str):
+    """Run the C front end on ``path``."""
+    text = read_text(path)
+    with _located(path):
+        return generate_constraints(text, field_mode=field_mode)
 
 
 def _resolve_replay_flags(
@@ -120,13 +147,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(solution_to_json(system, solution, include_empty=args.all))
         return 0
 
+    render = PointeeRenderer(system.names)
     shown = 0
     for var in range(system.num_vars):
         pointees = solution.points_to(var)
         if not pointees and not args.all:
             continue
-        names = ", ".join(sorted(system.name_of(p) for p in pointees))
-        print(f"{system.name_of(var)} -> {{{names}}}")
+        print(f"{system.name_of(var)} -> {{{render(pointees)}}}")
         shown += 1
     if args.stats:
         print()
@@ -149,7 +176,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    program = generate_constraints(read_text(args.file), field_mode=args.field_mode)
+    program = _read_program(args.file, args.field_mode)
     system = program.system
     _resolve_replay_flags(args, "hu")
     solver = make_solver(
@@ -157,6 +184,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         opt=args.opt, k_cs=args.k_cs,
     )
     solution = solver.solve()
+    render = PointeeRenderer(system.names)
 
     if args.query:
         for name in args.query:
@@ -165,17 +193,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             except KeyError:
                 print(f"{name}: unknown variable", file=sys.stderr)
                 continue
-            names = ", ".join(
-                sorted(system.name_of(p) for p in solution.points_to(node))
-            )
-            print(f"{name} -> {{{names}}}")
+            print(f"{name} -> {{{render(solution.points_to(node))}}}")
     else:
         for name in sorted(program.variables):
             node = program.variables[name]
             pointees = solution.points_to(node)
             if pointees:
-                names = ", ".join(sorted(system.name_of(p) for p in pointees))
-                print(f"{name} -> {{{names}}}")
+                print(f"{name} -> {{{render(pointees)}}}")
 
     if args.callgraph:
         graph = build_call_graph(system, solution)
@@ -199,7 +223,7 @@ def _load_checkable(path: str, field_mode: str):
     if path.endswith(".cons"):
         system, header, header_line = _read_system_and_header(path)
         return system, None, header, header_line
-    program = generate_constraints(read_text(path), field_mode=field_mode)
+    program = _read_program(path, field_mode)
     return program.system, program, {}, 0
 
 
@@ -678,8 +702,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # Covers malformed constraint files (ConstraintParseError), front-
-        # end lexer/parser errors, and unknown algorithm names.
+        # Covers located input errors (InputError: syntax errors in .cons
+        # and .c files, bad headers and baselines, undecodable bytes),
+        # front-end lowering errors and unknown algorithm names.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -119,6 +119,7 @@ class ConstraintParseError(ValueError):
 
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
+        self.message = message
         self.line_no = line_no
 
 

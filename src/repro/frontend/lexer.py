@@ -65,6 +65,7 @@ class LexError(ValueError):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

@@ -54,8 +54,12 @@ class ParseError(ValueError):
     """Raised on a syntax error, with source position."""
 
     def __init__(self, message: str, token: Token) -> None:
-        super().__init__(f"{token.line}:{token.column}: {message} (at {token.text!r})")
+        message = f"{message} (at {token.text!r})"
+        super().__init__(f"{token.line}:{token.column}: {message}")
+        self.message = message
         self.token = token
+        self.line = token.line
+        self.column = token.column
 
 
 def _nesting_level(rule: Callable[["Parser"], _T]) -> Callable[["Parser"], _T]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintSystem
@@ -23,10 +23,13 @@ from repro.datastructs.intern_table import InternStats
 from repro.datastructs.intset import iter_bits as _iter_bits
 from repro.datastructs.sparse_bitmap import SparseBitmap
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.points_to.interface import PointsToFamily, make_family
+from repro.points_to.interface import PointsToFamily, PointsToSet, make_family
 from repro.preprocess.hcd_offline import HCDOfflineResult, hcd_offline_analysis
 from repro.preprocess.hvn import PreprocessResult, preprocess_system
 from repro.verify.sanitizer import Sanitizer, VerifyStats
+
+
+_NO_LOCATIONS: FrozenSet[int] = frozenset()
 
 
 @dataclass
@@ -578,24 +581,28 @@ class GraphSolver(BaseSolver):
     def _export_solution(self) -> PointsToSolution:
         graph = self.graph
         num_vars = self.system.num_vars
-        if self._fused:
-            # Canonical bignums: decode each distinct set value once and
-            # share the (read-only) location list across the variables
-            # holding it — converged solutions are heavily duplicated.
-            decoded: Dict[int, List[int]] = {}
-            mapping = {}
-            for var in range(num_vars):
-                bits = graph.pts_of(var).bits
-                locs = decoded.get(id(bits))
-                if locs is None:
-                    locs = decoded[id(bits)] = list(_iter_bits(bits))
-                mapping[var] = locs
-        else:
-            mapping = {var: list(graph.pts_of(var)) for var in range(num_vars)}
+        # Collapsed variables share their representative's set object, and
+        # the fused family's canonical bignums share one object per value:
+        # decode each distinct backing set once and give every variable
+        # holding it the same frozenset, so the solution, its expansion
+        # and the output renderers all see the sharing.
+        fused = self._fused
+        decoded: Dict[int, FrozenSet[int]] = {}
+        mapping: Dict[int, FrozenSet[int]] = {}
         # Hand the solver's native sets to the solution so alias/checker
         # queries run on the representation's own AND (merged variables
         # share one set object, which is fine for read-only queries).
-        backing = {var: graph.pts_of(var) for var in range(num_vars)}
+        backing: Dict[int, PointsToSet] = {}
+        for var in range(num_vars):
+            pts = graph.pts_of(var)
+            key = id(pts.bits) if fused else id(pts)
+            locs = decoded.get(key)
+            if locs is None:
+                # Most variables of a reduced system point nowhere: one
+                # shared empty set spares a frozenset per such variable.
+                locs = decoded[key] = frozenset(pts) or _NO_LOCATIONS
+            mapping[var] = locs
+            backing[var] = pts
         return PointsToSolution(
             mapping, num_vars, self.system.names,
             num_locs=num_vars, backing=backing,

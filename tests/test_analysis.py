@@ -22,6 +22,32 @@ class TestSolution:
         with pytest.raises(ValueError):
             PointsToSolution({5: [0]}, num_vars=2)
 
+    def test_shared_out_of_range_set_rejected(self):
+        # One set object held by every variable is checked once, and
+        # still rejected.
+        bad = frozenset({1, 99})
+        with pytest.raises(ValueError, match=r"pointee id 99 in pts\(0\) outside \[0, 40\)"):
+            PointsToSolution({var: bad for var in range(40)}, num_vars=40)
+
+    def test_out_of_range_set_after_shared_good_set_rejected(self):
+        good = frozenset({1})
+        mapping = {var: good for var in range(39)}
+        mapping[39] = frozenset({1, -2})
+        with pytest.raises(ValueError, match=r"pointee id -2 in pts\(39\)"):
+            PointsToSolution(mapping, num_vars=40)
+
+    def test_value_equal_set_in_another_object_rejected(self):
+        accepted = frozenset({2, 7})
+        PointsToSolution({0: accepted, 1: accepted}, num_vars=2, num_locs=8)
+        # The same value, now out of range, held in a different object,
+        # and then the accepted object itself: each check is per solution.
+        copy = frozenset(sorted(accepted))
+        assert copy == accepted and copy is not accepted
+        with pytest.raises(ValueError, match=r"pointee id 7 in pts\(0\)"):
+            PointsToSolution({0: copy, 1: copy}, num_vars=2, num_locs=4)
+        with pytest.raises(ValueError, match=r"pointee id 7 in pts\(1\)"):
+            PointsToSolution({0: frozenset({1}), 1: accepted}, num_vars=2, num_locs=4)
+
     def test_sizes(self):
         sol = PointsToSolution({0: [1], 1: [1, 0]}, num_vars=3)
         assert sol.non_empty_count() == 2

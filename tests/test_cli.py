@@ -239,7 +239,40 @@ class TestErrorHandling:
         path.write_text("var a\nbogus directive\n")
         code, _, err = run_cli(["solve", str(path)], capsys)
         assert code == 1
-        assert "line 2" in err
+        assert err == f"error: {path}:2: unknown directive 'bogus'\n"
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "verify", "reduce", "stats", "dot"])
+    def test_constraint_syntax_error_is_located_everywhere(
+        self, tmp_path, capsys, command
+    ):
+        path = tmp_path / "bad.cons"
+        path.write_text("var a\nvar b\ncopy a\n")
+        code, _, err = run_cli([command, str(path)], capsys)
+        assert code == 1
+        assert err == f"error: {path}:3: bad arity for copy\n"
+
+    def test_malformed_repro_header_is_located(self, tmp_path, capsys):
+        path = tmp_path / "repro.cons"
+        path.write_text("# repro-config: opt\nvar a\n")
+        code, _, err = run_cli(["solve", str(path)], capsys)
+        assert code == 1
+        assert err == f"error: {path}:1: malformed repro-config entry 'opt'\n"
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_c_lex_error_is_located(self, tmp_path, capsys, command):
+        path = tmp_path / "lex.c"
+        path.write_text("int g;\nint main() { int x = 1 @ 2; }\n")
+        code, _, err = run_cli([command, str(path)], capsys)
+        assert code == 1
+        assert err == f"error: {path}:2:24: unexpected character '@'\n"
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_c_parse_error_is_located(self, tmp_path, capsys, command):
+        path = tmp_path / "parse.c"
+        path.write_text("int g;\nint main( {\n")
+        code, _, err = run_cli([command, str(path)], capsys)
+        assert code == 1
+        assert err == f"error: {path}:2:11: expected ')' (at '{{')\n"
 
     def test_header_bad_k_cs_is_located(self, tmp_path, capsys):
         path = tmp_path / "repro.cons"
@@ -316,7 +349,11 @@ class TestErrorHandling:
         path.write_text(self._nested_program(shape, 3000))
         code, _, err = run_cli(["check", str(path)], capsys)
         assert code == 1
-        assert re.match(r"error: 1:\d+: nesting exceeds \d+ levels", err), err
+        assert re.fullmatch(
+            rf"error: {re.escape(str(path))}:1:\d+: nesting exceeds \d+ levels"
+            r" \(at '.+'\)\n",
+            err,
+        ), err
 
     @pytest.mark.parametrize(
         "shape, depth", [("parens", 60), ("stars", 190), ("blocks", 190)]
