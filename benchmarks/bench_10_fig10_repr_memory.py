@@ -5,13 +5,10 @@ caveat that the fixed pool makes the *smallest* benchmark (Emacs) cheaper
 in bitmaps — we reproduce both the average direction and that caveat's
 mechanism (the ratio grows with benchmark size).
 
-Extended to a three-way comparison: the hash-consed ``shared`` family
-attacks the same redundancy from the bitmap side — converged variables
-hold identical sets, which the intern table stores once — so its
-points-to footprint must also land strictly below plain bitmaps on the
-large workloads.  The interned bignum ``int`` family gets the same
-bitmap-normalized table, so the two interned families can be compared
-on memory.
+Extended with the interned bignum ``int`` family, which attacks the same
+redundancy from the set side — converged variables hold identical sets,
+which its intern table stores once — in the same bitmap-normalized
+table.
 """
 
 
@@ -67,29 +64,6 @@ def test_fig10_bdd_memory_ratio(benchmark):
     )
     assert overall > 1.0
     assert big > 1.0
-
-
-def test_fig10_shared_memory_ratio(benchmark):
-    ratios = benchmark.pedantic(
-        lambda: _memory_ratios("shared"), rounds=1, iterations=1
-    )
-    overall = _emit(
-        "Figure 10 (ext) — bitmap pts memory / shared (hash-consed) pts memory",
-        ratios,
-    )
-
-    # Acceptance: shared strictly below bitmap on at least two of the
-    # three large workloads (emacs/wine/linux), for every algorithm.
-    wins = 0
-    for name in ("emacs", "wine", "linux"):
-        idx = BENCHMARK_ORDER.index(name)
-        if all(ratios[a][idx] > 1.0 for a in TABLE5_ALGORITHMS):
-            wins += 1
-    assert wins >= 2, {
-        n: [ratios[a][BENCHMARK_ORDER.index(n)] for a in TABLE5_ALGORITHMS]
-        for n in ("emacs", "wine", "linux")
-    }
-    assert overall > 1.0
 
 
 def test_fig10_int_memory_ratio(benchmark):

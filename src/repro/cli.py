@@ -14,7 +14,7 @@ solutions and statistics out.
     python -m repro reduce FILE --check certify|disagree [-o OUT.cons]
     python -m repro stats FILE
 
-``--opt`` and ``--k-cs`` use ``None``-sentinel defaults so a
+``--pts``, ``--opt`` and ``--k-cs`` use ``None``-sentinel defaults so a
 ``# repro-config:`` header written by ``repro reduce`` can replay the
 recorded failure configuration unless the user overrides it explicitly.
 """
@@ -90,7 +90,7 @@ def _resolve_replay_flags(
     path: str = "",
     header_line: int = 0,
 ) -> None:
-    """Fill in the ``--opt`` / ``--k-cs`` sentinels on ``args``.
+    """Fill in the ``--pts`` / ``--opt`` / ``--k-cs`` sentinels on ``args``.
 
     A value the user passed explicitly always wins; otherwise a repro
     header's recorded value is adopted (with a stderr note, so replays
@@ -99,31 +99,26 @@ def _resolve_replay_flags(
     at ``path:header_line`` listing the valid values.
     """
     header = header or {}
-
-    def recorded(key: str, noun: str, valid: List[str]) -> str:
-        value = header[key]
-        if value not in valid:
-            raise InputError(
-                path,
-                f"repro header records unknown {noun} {value!r}; "
-                f"valid: {', '.join(valid)}",
-                line=header_line,
-            )
-        return value
-
     adopted = []
-    if args.opt is None:
-        if "opt" in header:
-            args.opt = recorded("opt", "opt stage", list(OPT_STAGES))
-            adopted.append(f"--opt {args.opt}")
-        else:
-            args.opt = default_opt
-    if args.k_cs is None:
-        if "k-cs" in header:
-            args.k_cs = int(recorded("k-cs", "k-cs level", [str(k) for k in K_LEVELS]))
-            adopted.append(f"--k-cs {args.k_cs}")
-        else:
-            args.k_cs = 0
+    for flag, noun, valid, default, convert in (
+        ("pts", "points-to family", FAMILY_KINDS, "bitmap", str),
+        ("opt", "opt stage", OPT_STAGES, default_opt, str),
+        ("k-cs", "k-cs level", [str(k) for k in K_LEVELS], "0", int),
+    ):
+        attr = flag.replace("-", "_")
+        if getattr(args, attr) is not None:
+            continue
+        value = header.get(flag, default)
+        if flag in header:
+            if value not in valid:
+                raise InputError(
+                    path,
+                    f"repro header records unknown {noun} {value!r}; "
+                    f"valid: {', '.join(valid)}",
+                    line=header_line,
+                )
+            adopted.append(f"--{flag} {value}")
+        setattr(args, attr, convert(value))
     if adopted:
         print(
             f"replaying {' '.join(adopted)} from the repro-config header"
@@ -509,12 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
         """
         p.add_argument(
             "--pts",
-            default="bitmap",
+            default=None,
             choices=list(FAMILY_KINDS) + (["all"] if pts_all else []),
             help="points-to representation (default bitmap): GCC-style "
-            "sparse bitmaps, hash-consed shared bitmaps (interned, memoized "
-            "unions), per-variable BDDs, or bignum intsets (fused "
-            "word-parallel kernel)"
+            "sparse bitmaps, per-variable BDDs, or interned bignum intsets "
+            "(fused word-parallel kernel)"
             + ("; 'all' runs every family" if pts_all else ""),
         )
         p.add_argument(

@@ -1,66 +1,35 @@
-"""Hash-consing for sparse-bitmap points-to sets.
+"""Hash-consing for bignum points-to sets (the ``int`` family).
 
 Section 5.4's representation study shows the bitmap family winning on
 time while BDDs win on memory purely through *sharing*: in a converged
-Andersen solution many variables hold identical points-to sets, and the
-bitmap family stores every copy separately.  MDE (Ghorui, Raste &
-Khedker, "Points-to Analysis Using MDE") observes two further
-redundancies in the operation profile itself: the same set *values*
-recur across variables, and the same union *operand pairs* recur across
-propagations.  This module removes all three from the bitmap side:
+Andersen solution many variables hold identical points-to sets.  MDE
+(Ghorui, Raste & Khedker, "Points-to Analysis Using MDE") observes two
+further redundancies in the operation profile itself: the same set
+*values* recur across variables, and the same union *operand pairs*
+recur across propagations.  :class:`IntInternTable` removes all three
+for sets stored as arbitrary-precision ints:
 
-- a canonical table maps set content to a single immutable
-  :class:`SharedBitmapNode`, so equal sets are one object and set
-  equality — the Lazy Cycle Detection trigger — is an identity check;
-- a bounded memo cache maps union operand pairs ``(id_a, id_b)`` to
-  their result node, so a repeated union is a dict hit instead of a
-  block merge;
-- a second bounded memo does the same for single-bit insertion,
-  the other mutation the solvers perform.
+- a canonical table maps each value to one designated int object and a
+  small id, so equal sets alias one object and set equality — the Lazy
+  Cycle Detection trigger — usually resolves on a pointer comparison;
+- bounded memo caches map operand ids to results for union, single-bit
+  insertion and the masked shift of an offset constraint, so a repeated
+  propagation step is a dict hit instead of a bignum operation.
 
-Nodes are held *weakly*: a canonical set stays in the table exactly as
-long as some live points-to set references it, so intermediate values
-created while sets grow are reclaimed and never counted against the
-family's footprint.  The canonical empty node is pinned forever.  Node
-ids are monotonically increasing and never reused, which keeps stale
+Ids are monotonically increasing and never reused, which keeps stale
 memo entries harmless — they can only miss, never alias.
-
-The mutation discipline is the whole contract: a node's bitmap is
-frozen the moment it is interned.  Every operation that would mutate
-(``union``, ``with_added``) copies first and interns the result; callers
-hand ownership of any bitmap they pass to :meth:`InternTable.intern`.
+:class:`InternStats` snapshots the table's counters onto ``SolverStats``.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.datastructs.sparse_bitmap import SparseBitmap
-
-#: Default bound on each memo cache (union and add), in entries.  Eviction
-#: is FIFO: insertion order approximates age, and a popped pair simply
-#: falls back to a real merge on its next occurrence.
+#: Default bound on each memo cache (union, add and offset), in entries.
+#: Eviction is FIFO: insertion order approximates age, and a popped pair
+#: simply falls back to a real bignum operation on its next occurrence.
 DEFAULT_MEMO_CAPACITY = 1 << 16
-
-
-class SharedBitmapNode:
-    """One canonical, immutable points-to set value.
-
-    ``bits`` must never be mutated after interning — every live
-    ``shared`` points-to set holding this value aliases the same node.
-    """
-
-    __slots__ = ("bits", "key", "id", "__weakref__")
-
-    def __init__(self, bits: SparseBitmap, key: Tuple, node_id: int) -> None:
-        self.bits = bits
-        self.key = key
-        self.id = node_id
-
-    def __repr__(self) -> str:
-        return f"SharedBitmapNode(id={self.id}, len={len(self.bits)})"
 
 
 @dataclass
@@ -97,173 +66,19 @@ class InternStats:
         }
 
 
-class InternTable:
-    """Canonical table of immutable bitmap nodes plus operation memos."""
-
-    #: Modelled bytes of table bookkeeping per live node (hash slot, id,
-    #: key reference) on top of the bitmap's own GCC-element footprint.
-    BYTES_PER_ENTRY = 24
-
-    def __init__(self, memo_capacity: int = DEFAULT_MEMO_CAPACITY) -> None:
-        if memo_capacity < 1:
-            raise ValueError("memo_capacity must be at least 1")
-        self.memo_capacity = memo_capacity
-        #: content key -> node; weak so unreferenced values are reclaimed.
-        self._by_key: "weakref.WeakValueDictionary[Tuple, SharedBitmapNode]" = (
-            weakref.WeakValueDictionary()
-        )
-        #: (id_a, id_b) with id_a <= id_b -> weak ref to the union result.
-        self._union_memo: Dict[Tuple[int, int], "weakref.ref[SharedBitmapNode]"] = {}
-        #: (id, loc) -> weak ref to the with-bit-set result.
-        self._add_memo: Dict[Tuple[int, int], "weakref.ref[SharedBitmapNode]"] = {}
-        self._next_id = 0
-        # Counters (snapshotted into InternStats).
-        self.nodes_created = 0
-        self.intern_hits = 0
-        self.union_memo_hits = 0
-        self.union_memo_misses = 0
-        self.add_memo_hits = 0
-        self.memo_evictions = 0
-        self.peak_nodes = 0
-        #: The canonical empty set, pinned for the table's lifetime.
-        self.empty = self.intern(SparseBitmap())
-
-    # ------------------------------------------------------------------
-    # Canonicalization
-    # ------------------------------------------------------------------
-
-    def intern(self, bits: SparseBitmap) -> SharedBitmapNode:
-        """Canonical node for ``bits``.  Takes ownership: the caller must
-        not mutate ``bits`` afterwards (on a hit it is simply dropped)."""
-        key = bits.content_key()
-        node = self._by_key.get(key)
-        if node is not None:
-            self.intern_hits += 1
-            return node
-        node = SharedBitmapNode(bits, key, self._next_id)
-        self._next_id += 1
-        self._by_key[key] = node
-        self.nodes_created += 1
-        live = len(self._by_key)
-        if live > self.peak_nodes:
-            self.peak_nodes = live
-        return node
-
-    def node_from_iter(self, locs: Iterable[int]) -> SharedBitmapNode:
-        """Canonical node holding exactly ``locs`` (one intern, no churn)."""
-        bits = SparseBitmap(locs)
-        if not bits:
-            return self.empty
-        return self.intern(bits)
-
-    # ------------------------------------------------------------------
-    # Memoized operations
-    # ------------------------------------------------------------------
-
-    def union(self, a: SharedBitmapNode, b: SharedBitmapNode) -> SharedBitmapNode:
-        """Canonical node for ``a | b``.
-
-        Identity and empty operands resolve without touching the cache;
-        the memo key is order-normalized (union is commutative).  On a
-        miss, subset checks catch the absorbed cases (returning an
-        existing node, no copy) before a real block merge happens.
-        """
-        if a is b or b is self.empty:
-            return a
-        if a is self.empty:
-            return b
-        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-        ref = self._union_memo.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                self.union_memo_hits += 1
-                return node
-            del self._union_memo[key]
-        self.union_memo_misses += 1
-        if b.bits.issubset(a.bits):
-            result = a
-        elif a.bits.issubset(b.bits):
-            result = b
-        else:
-            merged = a.bits.copy()
-            merged.ior(b.bits)
-            result = self.intern(merged)
-        self._memo_store(self._union_memo, key, result)
-        return result
-
-    def with_added(self, node: SharedBitmapNode, loc: int) -> SharedBitmapNode:
-        """Canonical node for ``node.bits | {loc}``."""
-        if loc in node.bits:
-            return node
-        key = (node.id, loc)
-        ref = self._add_memo.get(key)
-        if ref is not None:
-            result = ref()
-            if result is not None:
-                self.add_memo_hits += 1
-                return result
-            del self._add_memo[key]
-        bits = node.bits.copy()
-        bits.add(loc)
-        result = self.intern(bits)
-        self._memo_store(self._add_memo, key, result)
-        return result
-
-    def _memo_store(self, memo: Dict, key: Tuple[int, int], node: SharedBitmapNode) -> None:
-        if len(memo) >= self.memo_capacity:
-            memo.pop(next(iter(memo)))
-            self.memo_evictions += 1
-        memo[key] = weakref.ref(node)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def live_count(self) -> int:
-        """Number of canonical nodes currently referenced by live sets."""
-        return len(self._by_key)
-
-    def memory_bytes(self) -> int:
-        """Footprint of the table's live nodes, each counted once.
-
-        Like the BDD manager's pool, this is shared state: a thousand
-        variables holding the same set contribute one node.  Per node we
-        charge the bitmap's GCC-element layout plus the table slot.
-        """
-        return sum(
-            node.bits.memory_bytes() + self.BYTES_PER_ENTRY
-            for node in self._by_key.values()
-        )
-
-    def stats_snapshot(self) -> InternStats:
-        return InternStats(
-            live_nodes=self.live_count,
-            peak_nodes=self.peak_nodes,
-            nodes_created=self.nodes_created,
-            intern_hits=self.intern_hits,
-            union_memo_hits=self.union_memo_hits,
-            union_memo_misses=self.union_memo_misses,
-            add_memo_hits=self.add_memo_hits,
-            memo_evictions=self.memo_evictions,
-        )
-
-
-#: Default bound on the int table's value->id map.  Unlike the weak node
-#: table, bignums are plain values with no ``__weakref__``, so liveness
-#: cannot drive reclamation; a FIFO bound does instead.  An evicted value
-#: re-interned later receives a fresh id, which stale memo entries keyed
-#: by the old id can never observe (ids are monotone, never reused).
+#: Default bound on the int table's value->id map.  Bignums are plain
+#: values with no ``__weakref__``, so liveness cannot drive reclamation;
+#: a FIFO bound does instead.  An evicted value re-interned later
+#: receives a fresh id, which stale memo entries keyed by the old id can
+#: never observe (ids are monotone, never reused).
 DEFAULT_INT_TABLE_CAPACITY = 1 << 18
 
 
 class IntInternTable:
     """Canonical value/id table plus operation memos for bignum bitsets.
 
-    The ``intset`` family's analogue of :class:`InternTable`: set values
-    are arbitrary-precision ints, so canonicalization is a dict keyed by
-    the value itself.  Interning serves two purposes here:
+    Set values are arbitrary-precision ints, so canonicalization is a
+    dict keyed by the value itself.  Interning serves two purposes:
 
     - equal sets share one int *object*, so ``same_as`` and the solvers'
       convergence checks hit CPython's pointer fast path before any

@@ -22,7 +22,7 @@ trigger condition of Lazy Cycle Detection — are cheap.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 #: Number of bits covered by one element.  GCC uses 2 words x 64 bits = 128
 #: on 64-bit hosts; we follow suit.
@@ -257,14 +257,6 @@ class SparseBitmap:
         clone._blocks = dict(self._blocks)
         clone._count = self._count
         return clone
-
-    def content_key(self) -> Tuple[Tuple[int, int], ...]:
-        """Hashable canonical form: sorted ``(block_index, word)`` pairs.
-
-        Two bitmaps hold the same elements iff their content keys are
-        equal — the interning key of ``datastructs.intern_table``.
-        """
-        return tuple(sorted(self._blocks.items()))
 
     def clear(self) -> None:
         self._blocks.clear()

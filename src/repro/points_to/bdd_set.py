@@ -42,6 +42,9 @@ class BDDPointsToSet:
         return True
 
     def ior_and_test(self, other: "BDDPointsToSet") -> bool:
+        if other.node == self.node:
+            # Canonical nodes: equal sets make the union a no-op.
+            return False
         manager = self._family.manager
         merged = manager.apply_or(self.node, other.node)
         if merged == self.node:
@@ -87,7 +90,6 @@ class BDDPointsToFamily(PointsToFamily):
     """Shared manager + location domain for a solver run's BDD sets."""
 
     name = "bdd"
-    constant_time_equality = True
 
     #: Modelled byte size of one BDD node (BuDDy: 20 bytes; we round to the
     #: allocation granularity of a node record with hash-table overhead).

@@ -58,11 +58,6 @@ class PointsToFamily:
     #: Short name used by the solver registry and the benchmarks.
     name: str = "abstract"
 
-    #: True when ``same_as`` is O(1) (canonical representations: BDD node
-    #: ids, interned "shared" nodes).  Solvers use it to gate equality
-    #: fast paths that would cost a scan on plain bitmaps.
-    constant_time_equality: bool = False
-
     #: True when the family supports the solvers' fused word-parallel
     #: propagate kernel (whole-set bignum diffs; the ``int`` family).
     fused_kernel: bool = False
@@ -71,9 +66,10 @@ class PointsToFamily:
         raise NotImplementedError
 
     def make_scratch(self):
-        """Solver-side scratch set (processed-pointee and difference-
-        propagation state), in whatever layout diffs cheapest against
-        this family's points-to sets.  Defaults to a sparse bitmap."""
+        """Solver-side scratch set (successor sets and the processed-
+        pointee done-sets of complex constraints and HCD pairs), in
+        whatever layout diffs cheapest against this family's points-to
+        sets.  Defaults to a sparse bitmap."""
         from repro.datastructs.sparse_bitmap import SparseBitmap
 
         return SparseBitmap()
@@ -82,8 +78,8 @@ class PointsToFamily:
         """A set holding exactly ``locs``.
 
         Families with canonicalization overhead per mutation override
-        this to build the value in one step (the solvers' difference
-        sets are born whole, never grown).
+        this to build the value in one step instead of one ``add`` per
+        location.
         """
         made = self.make()
         for loc in locs:
@@ -95,31 +91,27 @@ class PointsToFamily:
         raise NotImplementedError
 
     def intern_stats(self):
-        """Hash-consing counters (``shared`` family only), else ``None``."""
+        """Intern-table counters (``int`` family only), else ``None``."""
         return None
 
 
 #: Registered representation names, in the benchmarks' comparison order.
-FAMILY_KINDS = ("bitmap", "shared", "bdd", "int")
+FAMILY_KINDS = ("bitmap", "bdd", "int")
 
 
 def make_family(kind: str, num_locs: int) -> PointsToFamily:
-    """Build a points-to family: ``"bitmap"``, ``"shared"``, ``"bdd"`` or
-    ``"int"``.
+    """Build a points-to family: ``"bitmap"``, ``"bdd"`` or ``"int"``.
 
     ``num_locs`` bounds the location ids the sets will hold (the BDD family
-    sizes its domain from it; the bitmap families ignore it).
+    sizes its domain from it; the bitmap and int families ignore it).
     """
     # Imported here to avoid a cycle with the implementation modules.
     from repro.points_to.bdd_set import BDDPointsToFamily
     from repro.points_to.bitmap_set import BitmapPointsToFamily
     from repro.points_to.intset import IntPointsToFamily
-    from repro.points_to.shared_set import SharedPointsToFamily
 
     if kind == "bitmap":
         return BitmapPointsToFamily()
-    if kind == "shared":
-        return SharedPointsToFamily()
     if kind == "bdd":
         return BDDPointsToFamily(num_locs)
     if kind == "int":

@@ -1,6 +1,6 @@
 """Bignum ("intset") points-to sets: one Python int per set.
 
-The fourth representation, and the one the certifier already proved out
+The third representation, and the one the certifier already proved out
 (``verify/certifier.py`` re-derives the least model with plain ints at a
 fraction of solve cost).  Every set is a thin handle onto a canonical
 arbitrary-precision integer interned in the family's
@@ -122,13 +122,12 @@ class IntPointsToFamily(PointsToFamily):
     """One int intern table shared by every set of a solver run."""
 
     name = "int"
-    constant_time_equality = True
     #: Signals the solvers' fused word-parallel propagate kernel.
     fused_kernel = True
 
     def __init__(self, memo_capacity: int = DEFAULT_MEMO_CAPACITY) -> None:
         self.table = IntInternTable(memo_capacity=memo_capacity)
-        #: Handles ever created — dedup-ratio numerator, as in `shared`.
+        #: Handles ever created — the numerator of the dedup ratio.
         self.sets_made = 0
         #: Live handles, tracked weakly for value-deduplicated accounting.
         self._live: "weakref.WeakSet[IntPointsToSet]" = weakref.WeakSet()

@@ -76,7 +76,7 @@ class SolverStats:
     solve_seconds: float = 0.0
     pts_memory_bytes: int = 0
     graph_memory_bytes: int = 0
-    #: Filled in by runs using the hash-consed "shared" points-to family.
+    #: Filled in by runs using the interned ``int`` points-to family.
     intern: Optional[InternStats] = None
     #: Filled in by runs with the invariant sanitizer installed.
     verify: Optional[VerifyStats] = None
@@ -512,7 +512,8 @@ class GraphSolver(BaseSolver):
                 if not shifted_bits:
                     continue
                 dst_rep = find(dst)
-                self.stats.propagations += 1
+                # One per shifted location, as `_apply_complex` counts.
+                self.stats.propagations += shifted_bits.bit_count()
                 if pts_list[dst_rep].ior_bits_and_test(shifted_bits, shifted_id):
                     push(dst_rep)
         self.stats.edges_added += edges_added
@@ -532,16 +533,9 @@ class GraphSolver(BaseSolver):
             self._propagate_fused(node, push)
             return
         pts = graph.pts_of(node)
-        # Canonical families make equality O(1): when source and target
-        # already hold the same node id the union is skipped entirely —
-        # cheap partial cycle suppression even without LCD/HCD.
-        fast_eq = self.family.constant_time_equality
         for succ in list(graph.successors(node)):
             self.stats.propagations += 1
-            target = graph.pts_of(succ)
-            if fast_eq and target.same_as(pts):
-                continue
-            if target.ior_and_test(pts):
+            if graph.pts_of(succ).ior_and_test(pts):
                 push(succ)
 
     def _propagate_fused(self, node: int, push) -> None:

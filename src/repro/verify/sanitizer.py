@@ -15,10 +15,11 @@ collapse/propagate boundaries:
 - **LCD trigger discipline** — the same edge never re-triggers a lazy
   cycle search (the paper's once-per-edge refinement, which bounds
   LCD's overhead);
-- **intern canonicity** — for the ``shared`` points-to family, every
-  live canonical node's content still matches its interning key and no
-  two live nodes share content (an in-place mutation of a canonical
-  bitmap silently corrupts *every* variable sharing it).
+- **intern canonicity** — for the ``int`` points-to family, every live
+  canonical bignum still equals its interning key, no two live values
+  share an id, and every memoized result carries the id the table
+  assigns its value (a corrupted canonical entry silently corrupts
+  *every* variable sharing it).
 
 Each failure raises :class:`InvariantViolation` carrying the solver
 name, the invariant, and the relevant state context — the input that
@@ -204,39 +205,17 @@ class Sanitizer:
         self._lcd_triggered.add(edge)
 
     # ------------------------------------------------------------------
-    # Intern-table canonicity (shared family)
+    # Intern-table canonicity (int family)
     # ------------------------------------------------------------------
 
     def check_intern(self) -> None:
-        """Every live canonical node matches its key; content is unique."""
+        """Scan the family's intern table, if it has one."""
         family = getattr(self.solver, "family", None)
         table = getattr(family, "table", None)
         if table is None:
             return
         self.stats.intern_checks += 1
-        if hasattr(table, "_by_value"):
-            self._check_int_intern(table)
-            return
-        seen: Dict[Tuple, int] = {}
-        for key, node in list(table._by_key.items()):
-            actual = node.bits.content_key()
-            if actual != key or node.key != key:
-                self._fail(
-                    "intern-canonicity",
-                    "canonical node content no longer matches its interning key",
-                    node_id=node.id,
-                    key_len=len(key),
-                    actual_len=len(actual),
-                )
-            previous = seen.get(actual)
-            if previous is not None:
-                self._fail(
-                    "intern-uniqueness",
-                    "two live canonical nodes hold identical content",
-                    node_id=node.id,
-                    other_id=previous,
-                )
-            seen[actual] = node.id
+        self._check_int_intern(table)
 
     def _check_int_intern(self, table) -> None:
         """Canonicity for the ``int`` family's bignum intern table.

@@ -14,7 +14,7 @@ from repro.points_to.interface import FAMILY_KINDS
 from repro.preprocess.hvn import OPT_STAGES
 
 #: Draw one of the registered points-to representations, so differential
-#: tests cover bitmap, shared (hash-consed), and BDD sets uniformly.
+#: tests cover bitmap, BDD and bignum (int) sets uniformly.
 pts_families = st.sampled_from(FAMILY_KINDS)
 
 #: Draw one of the offline optimization stages (--opt), so differential

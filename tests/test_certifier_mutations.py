@@ -228,13 +228,14 @@ class ShrinkingSolver(NaiveSolver):
 
 
 class InternCorruptingSolver(LCDSolver):
-    """Bug: a canonical shared-family bitmap is mutated in place."""
+    """Bug: an int-family canonical entry no longer equals its key."""
 
     def _run(self):
         solution = super()._run()
-        table = self.family.table
-        victim = next(iter(table._by_key.values()))
-        victim.bits.add(self.system.num_vars + 17)
+        by_value = self.family.table._by_value
+        value = next(v for v in by_value if v)
+        canon, node_id = by_value[value]
+        by_value[value] = (canon | 1 << (self.system.num_vars + 17), node_id)
         return solution
 
 
@@ -295,7 +296,7 @@ class TestSanitizerCatchesMutants:
 
     def test_intern_corruption_detected(self, simple_system):
         mutant = InternCorruptingSolver(
-            simple_system, pts="shared", sanitize=True
+            simple_system, pts="int", sanitize=True
         )
         with pytest.raises(InvariantViolation) as exc:
             mutant.solve()

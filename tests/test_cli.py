@@ -71,27 +71,6 @@ class TestSolve:
         assert code == 0
         assert "p -> {x}" in out
 
-    def test_shared_representation(self, constraint_file, capsys):
-        code, out, _ = run_cli(
-            ["solve", constraint_file, "--pts", "shared"], capsys
-        )
-        assert code == 0
-        assert "p -> {x}" in out
-
-    def test_shared_matches_bitmap_output(self, constraint_file, capsys):
-        _, bitmap_out, _ = run_cli(["solve", constraint_file], capsys)
-        _, shared_out, _ = run_cli(
-            ["solve", constraint_file, "--pts", "shared"], capsys
-        )
-        assert shared_out == bitmap_out
-
-    def test_shared_stats_counters(self, constraint_file, capsys):
-        code, out, _ = run_cli(
-            ["solve", constraint_file, "--pts", "shared", "--stats"], capsys
-        )
-        assert code == 0
-        assert "intern_live_nodes" in out
-
     def test_opt_stages_identical_output(self, constraint_file, capsys):
         _, none_out, _ = run_cli(
             ["solve", constraint_file, "--opt", "none"], capsys
@@ -205,6 +184,57 @@ class TestParser:
             main(["solve", "--help"])
         out = capsys.readouterr().out
         assert "lcd+hcd" in out
+
+    @pytest.mark.parametrize(
+        "command", ["solve", "analyze", "check", "compare", "verify", "reduce"]
+    )
+    def test_removed_shared_family_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "input.cons", "--pts", "shared"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'shared'" in capsys.readouterr().err
+
+
+class TestReplayHeader:
+    """``repro reduce`` records ``pts=`` in its header; replay adopts it."""
+
+    @pytest.fixture
+    def int_repro(self, tmp_path, simple_system):
+        path = tmp_path / "repro.cons"
+        path.write_text(
+            "# repro-config: check=certify algorithm=lcd+hcd pts=int "
+            "opt=hu k-cs=0\n" + dumps_constraints(simple_system)
+        )
+        return str(path)
+
+    @staticmethod
+    def _families(out):
+        return {line.split()[1] for line in out.splitlines() if "ACCEPT" in line}
+
+    def test_recorded_pts_is_replayed(self, int_repro, capsys):
+        code, out, err = run_cli(["verify", int_repro], capsys)
+        assert code == 0
+        assert self._families(out) == {"int"}
+        assert err == (
+            "replaying --pts int --opt hu --k-cs 0 from the repro-config "
+            f"header of {int_repro}\n"
+        )
+
+    def test_explicit_pts_overrides_header(self, int_repro, capsys):
+        code, out, err = run_cli(["verify", int_repro, "--pts", "bitmap"], capsys)
+        assert code == 0
+        assert self._families(out) == {"bitmap"}
+        assert "--pts" not in err
+
+    def test_unknown_recorded_pts_is_located(self, tmp_path, capsys):
+        path = tmp_path / "repro.cons"
+        path.write_text("# repro-config: pts=shared\nvar a\n")
+        code, _, err = run_cli(["verify", str(path)], capsys)
+        assert code == 1
+        assert err == (
+            f"error: {path}:1: repro header records unknown points-to family "
+            "'shared'; valid: bitmap, bdd, int\n"
+        )
 
 
 class TestJsonAndDot:

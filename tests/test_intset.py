@@ -8,8 +8,7 @@ Three layers under test:
 - :class:`IntInternTable` canonicalization: equal values alias one int
   object, ids are monotone and never reused, memo hits and table
   evictions are semantically invisible;
-- :class:`IntPointsToFamily` contracts the solvers rely on: the deref
-  union-cache returns exact unions regardless of cache state, copies are
+- :class:`IntPointsToFamily` contracts the solvers rely on: copies are
   free until mutation, and memory accounting stays consistent across
   backing switches (bitmap promotion, forced eviction).
 """

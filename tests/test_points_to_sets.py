@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.points_to.bdd_set import BDDPointsToFamily
 from repro.points_to.bitmap_set import BitmapPointsToFamily
 from repro.points_to.interface import FAMILY_KINDS, PointsToSet, make_family
-from repro.points_to.shared_set import SharedPointsToFamily
 
 FAMILIES = list(FAMILY_KINDS)
 locs = st.integers(0, 99)
@@ -116,34 +115,6 @@ class TestFamilySpecific:
 
         gc.collect()
         assert family.memory_bytes() < before
-
-    def test_shared_equal_sets_share_one_node(self):
-        family = SharedPointsToFamily()
-        a, b = family.make(), family.make()
-        for loc in (3, 30, 44):
-            a.add(loc)
-        for loc in (44, 3, 30):
-            b.add(loc)
-        # Canonicity within a shared table: same set, same node.
-        assert a.node is b.node
-        assert a.same_as(b)
-
-    def test_shared_copy_is_free_until_mutation(self):
-        family = SharedPointsToFamily()
-        a = family.make_from([1, 2])
-        b = a.copy()
-        assert b.node is a.node
-        b.add(3)
-        assert b.node is not a.node
-        assert sorted(a) == [1, 2]
-
-    def test_shared_memory_counts_shared_value_once(self):
-        family = SharedPointsToFamily()
-        first = family.make_from(range(0, 2000, 130))
-        baseline = family.memory_bytes()
-        clones = [first.copy() for _ in range(20)]
-        assert family.memory_bytes() == baseline  # twenty handles, one node
-        assert len(clones) == 20
 
     def test_bdd_pool_accounting_monotone(self):
         family = BDDPointsToFamily(100)

@@ -3,7 +3,7 @@
 This is the repository's core correctness property (and the paper's
 "without impacting precision" claim): the naive Figure-1 baseline is the
 semantic reference; HT, PKH, BLQ, LCD, HCD and every +HCD combination,
-over both points-to representations, must agree with it exactly — as must
+over every points-to family, must agree with it exactly — as must
 solving after OVS preprocessing, modulo expansion.
 """
 
@@ -98,6 +98,12 @@ class TestRandomizedDifferential:
             result = ovs.expand(solve(ovs.reduced, algorithm))
             assert result == reference, (algorithm, result.diff(reference))
 
+    @given(system=constraint_systems(), pts=pts_families)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_systems_across_families(self, system, pts):
+        """Hypothesis-shrinkable differential over every family."""
+        assert solve(system, "lcd+hcd", pts=pts) == solve(system, "naive")
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_worklist_strategies_agree(self, seed):
@@ -110,58 +116,10 @@ class TestRandomizedDifferential:
             assert solver.solve() == reference, strategy
 
 
-class TestSharedFamily:
-    """The hash-consed family must be *bit-identical* to bitmaps: same
-    solver, same input, same solution, for every registered algorithm."""
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_every_solver_on_fixtures(self, simple_system, cycle_system, algorithm):
-        for system in (simple_system, cycle_system):
-            assert solve(system, algorithm, pts="shared") == solve(
-                system, algorithm, pts="bitmap"
-            ), algorithm
-
-    @pytest.mark.parametrize("name", ["emacs", "wine", "linux"])
-    def test_workloads_bit_identical(self, name):
-        system = generate_workload(name, scale=1 / 512, seed=2)
-        reference = solve(system, "naive", pts="bitmap")
-        for algorithm in ("lcd", "hcd", "lcd+hcd", "pkh"):
-            assert solve(system, algorithm, pts="shared") == reference, algorithm
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_random_systems_agree(self, seed):
-        system = random_system(seed)
-        reference = solve(system, "naive")
-        for algorithm in ("lcd", "lcd+hcd", "ht", "pkh", "hcd"):
-            result = solve(system, algorithm, pts="shared")
-            assert result == reference, (algorithm, result.diff(reference))
-
-    @given(system=constraint_systems(), pts=pts_families)
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_generated_systems_across_families(self, system, pts):
-        """Hypothesis-shrinkable differential over all three families."""
-        assert solve(system, "lcd+hcd", pts=pts) == solve(system, "naive")
-
-    def test_shared_stats_populated(self):
-        from repro.solvers.registry import make_solver
-
-        system = generate_workload("emacs", scale=1 / 512, seed=2)
-        solver = make_solver(system, "lcd+hcd", pts="shared")
-        solver.solve()
-        stats = solver.stats
-        assert stats.intern is not None
-        assert stats.intern.live_nodes >= 1  # at least the pinned empty set
-        assert stats.intern.peak_nodes >= stats.intern.live_nodes
-        assert "intern_union_memo_hits" in stats.as_dict()
-        # Sharing: far fewer canonical values than set handles.
-        assert stats.intern.live_nodes < solver.family.sets_made
-
-
 class TestIntFamily:
     """The bignum family runs the fused word-parallel kernel, which takes
-    different code paths through every solver — so its bar is the same as
-    ``shared``'s: *bit-identical* to bitmaps for every algorithm."""
+    different code paths through every solver — so its bar is
+    *bit-identical* to bitmaps for every algorithm."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_every_solver_on_fixtures(self, simple_system, cycle_system, algorithm):
@@ -225,11 +183,31 @@ class TestCounterAgreement:
         "hcd_collapses", "iterations",
     )
 
-    @pytest.mark.parametrize("name", ["emacs", "wine", "linux"])
+    @staticmethod
+    def _offset_copy_system():
+        """``q = &p->b`` with ``p`` pointing to either of two structs.
+
+        Workloads and generated programs contain no OFFS constraints, so
+        this input is what pins their per-location count."""
+        from repro.constraints.builder import ConstraintBuilder
+
+        b = ConstraintBuilder()
+        s1 = b.object_block("s1", ["a", "b"])
+        s2 = b.object_block("s2", ["a", "b"])
+        p, q = b.var("p"), b.var("q")
+        b.address_of(p, s1.node)
+        b.address_of(p, s2.node)
+        b.offset_assign(q, p, s1.field_offset(1))
+        return b.build()
+
+    @pytest.mark.parametrize("name", ["emacs", "wine", "linux", "offs"])
     def test_families_report_bitmap_counters(self, name):
         from repro.solvers.registry import make_solver
 
-        system = generate_workload(name, scale=1 / 512, seed=2)
+        if name == "offs":
+            system = self._offset_copy_system()
+        else:
+            system = generate_workload(name, scale=1 / 512, seed=2)
         for algorithm in ALGORITHMS:
             families = [
                 pts for pts in FAMILY_KINDS
