@@ -175,6 +175,8 @@ class PointsToSolution:
         self,
         var_to_rep: Sequence[int],
         loc_members: Optional[Mapping[int, Sequence[int]]] = None,
+        original_ids: Optional[Sequence[int]] = None,
+        names: Optional[Sequence[str]] = None,
     ) -> "PointsToSolution":
         """Undo an offline substitution.
 
@@ -188,12 +190,45 @@ class PointsToSolution:
         of the representative expands back into its members.  Location
         classes are disjoint, so expansion preserves set intersection —
         :meth:`intersects` through a native backing stays valid.
+
+        ``original_ids`` additionally undoes a renumbering: when this
+        solution is over a compact id space, ``original_ids[c]`` is the
+        original id of compact variable and location ``c``, while
+        ``var_to_rep`` and ``loc_members`` speak original ids.  The result
+        then has ``len(var_to_rep)`` variables, named by ``names``.  The
+        renumbering is injective, so native backings stay valid too.
+
+        Each distinct set object is translated once — compact locations to
+        original ids, merged locations to their class — and every variable
+        holding it shares the result.
         """
-        if len(var_to_rep) != self._num_vars:
-            raise ValueError("substitution map length != variable count")
-        rep_sets = self._points_to
-        if loc_members:
-            rep_sets = self._expand_locations(loc_members)
+        if original_ids is None:
+            if len(var_to_rep) != self._num_vars:
+                raise ValueError("substitution map length != variable count")
+            original_ids = range(self._num_vars)
+        elif len(original_ids) != self._num_vars:
+            raise ValueError("original id map length != variable count")
+        num_vars = len(var_to_rep)
+        # An order-preserving injection of n ids into n ids is the identity.
+        renumbered = num_vars != self._num_vars
+        translate = original_ids.__getitem__
+        by_object: Dict[int, FrozenSet[int]] = {}
+        rep_sets: Dict[int, FrozenSet[int]] = {}
+        for var, compressed in self._points_to.items():
+            full = by_object.get(id(compressed))
+            if full is None:
+                full = compressed
+                if renumbered:
+                    full = frozenset(map(translate, compressed))
+                if loc_members and not full.isdisjoint(loc_members):
+                    grown = set(full)
+                    for loc in full:
+                        members = loc_members.get(loc)
+                        if members is not None:
+                            grown.update(members)
+                    full = frozenset(grown)
+                by_object[id(compressed)] = full
+            rep_sets[translate(var)] = full
         expanded: Dict[int, FrozenSet[int]] = {}
         for var, rep in enumerate(var_to_rep):
             locs = rep_sets.get(rep)
@@ -201,39 +236,19 @@ class PointsToSolution:
                 expanded[var] = locs
         backing: Optional[Dict[int, "PointsToSet"]] = None
         if self._backing is not None:
-            # Native sets keep compressed contents, which stays sound for
-            # intersects(): compressed sets hold only class representatives
-            # and classes are disjoint, so two expanded sets share a
-            # location exactly when the compressed ones do.
+            # Native sets keep compact, compressed contents, which stays
+            # sound for intersects(): two expanded sets share a location
+            # exactly when their native sets do.
+            rep_native = {translate(var): native for var, native in self._backing.items()}
             backing = {}
-            for var in range(self._num_vars):
-                native = self._backing.get(var_to_rep[var])
+            for var, rep in enumerate(var_to_rep):
+                native = rep_native.get(rep)
                 if native is not None:
                     backing[var] = native
         return PointsToSolution(
-            expanded, self._num_vars, self._names, num_locs=self._num_locs,
+            expanded,
+            num_vars,
+            names if renumbered else self._names,
+            num_locs=num_vars if renumbered else self._num_locs,
             backing=backing,
         )
-
-    def _expand_locations(
-        self, loc_members: Mapping[int, Sequence[int]]
-    ) -> Dict[int, FrozenSet[int]]:
-        """Each variable's set with every location representative replaced
-        by its class.  A set object shared by several variables is
-        expanded once, and they share the result."""
-        by_object: Dict[int, FrozenSet[int]] = {}
-        result: Dict[int, FrozenSet[int]] = {}
-        for var, compressed in self._points_to.items():
-            full = by_object.get(id(compressed))
-            if full is None:
-                full = compressed
-                if not compressed.isdisjoint(loc_members):
-                    grown = set(compressed)
-                    for loc in compressed:
-                        members = loc_members.get(loc)
-                        if members is not None:
-                            grown.update(members)
-                    full = frozenset(grown)
-                by_object[id(compressed)] = full
-            result[var] = full
-        return result

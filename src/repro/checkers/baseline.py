@@ -44,8 +44,9 @@ def write_baseline(path: str, report: CheckReport) -> int:
 
 
 def read_baseline(path: str) -> Set[str]:
-    """The recorded fingerprint set (raises on malformed files; invalid
-    UTF-8 or JSON is an :class:`InputError` at its line and column)."""
+    """The recorded fingerprint set.  A malformed file raises
+    :class:`InputError`: invalid UTF-8 or JSON at its line and column, a
+    document of the wrong shape at the line where it starts."""
     text = read_text(path)
     try:
         document = json.loads(text)
@@ -55,8 +56,16 @@ def read_baseline(path: str) -> Set[str]:
         not isinstance(document, dict)
         or document.get("version") != BASELINE_VERSION
         or not isinstance(document.get("fingerprints"), list)
+        or not all(isinstance(p, str) for p in document["fingerprints"])
     ):
-        raise ValueError(f"{path} is not a repro-check baseline file")
+        # The document as a whole has the wrong shape: locate its start.
+        start = len(text) - len(text.lstrip())
+        raise InputError(
+            path,
+            f'not a repro-check baseline file (want {{"version": {BASELINE_VERSION}, '
+            '"fingerprints": [strings]})',
+            line=text.count("\n", 0, start) + 1,
+        )
     return set(document["fingerprints"])
 
 

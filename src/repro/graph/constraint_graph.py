@@ -6,10 +6,13 @@ they dereference.  Nodes collapse through a union-find when a cycle is
 found — the representative inherits the merged points-to set, successor
 set and complex-constraint index.
 
-Locations (the elements *inside* points-to sets) are always **original**
-variable ids: collapsing merges solver state, not memory locations, and the
+Locations (the elements *inside* points-to sets) are variable ids of the
+system being solved — compact ids after ``--opt ovs|hu``, which renumbers
+the reduced system (see :func:`repro.preprocess.hvn.compact_system`).
+Collapsing merges solver state, not memory locations, and the
 function-block offset arithmetic of indirect calls must keep working on the
-original layout.  Graph-level lookups normalize through :meth:`find`.
+block layout, so set contents are never rewritten.  Graph-level lookups
+normalize through :meth:`find`.
 """
 
 from __future__ import annotations
@@ -141,9 +144,9 @@ class ConstraintGraph:
 
     def live_node_count(self) -> int:
         """Distinct representatives the constraints actually mention —
-        the node count the offline pipeline (``--opt``) is shrinking;
-        ``num_vars`` stays fixed because substituted variables keep their
-        ids for solution re-expansion."""
+        the node count the offline pipeline (``--opt``) is shrinking.
+        After ``--opt ovs|hu`` ``num_vars`` is close to it: the stage
+        renumbers onto the mentioned ids plus the blocks holding them."""
         find = self.uf.find
         live = set()
         for constraint in self.system.constraints:

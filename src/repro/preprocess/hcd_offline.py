@@ -90,14 +90,20 @@ def hcd_offline_analysis(system: ConstraintSystem) -> HCDOfflineResult:
             add_edge(constraint.src, ref_node(constraint.dst, constraint.offset))
         # BASE constraints are ignored (Figure 3).
 
-    node_count = num_vars + len(ref_ids)
     ref_key_of = {node: key for key, node in ref_ids.items()}
 
     def successors(node: int) -> Sequence[int]:
         return edges.get(node, ())
 
+    # Condense only nodes that have an edge, as HU's label pass does: the
+    # rest are singleton components the loop below skips anyway, so the
+    # output is the same and the cost follows the edges, not num_vars.
+    nodes = set(edges)
+    for targets in edges.values():
+        nodes.update(targets)
+
     result = HCDOfflineResult()
-    for component in tarjan_scc(range(node_count), successors):
+    for component in tarjan_scc(sorted(nodes), successors):
         if len(component) < 2:
             continue
         refs = [n for n in component if n >= num_vars]

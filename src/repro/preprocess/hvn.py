@@ -56,8 +56,9 @@ that HU pays for itself even on small inputs.
 Everything is exposed as a composable pipeline stage: see
 :func:`preprocess_system` and :data:`OPT_STAGES` for the
 ``--opt none|ovs|hu`` chain the solvers and the CLI consume, and
-:class:`SubstitutionMap` for the contract that maps solutions of the
-reduced system back onto the original variable space.
+:func:`compact_system` for the renumbering that ends the ``ovs`` and
+``hu`` stages, and :class:`SubstitutionMap` for the contract that maps
+solutions of the reduced system back onto the original variable space.
 """
 
 from __future__ import annotations
@@ -67,7 +68,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.solution import PointsToSolution
-from repro.constraints.model import Constraint, ConstraintKind, ConstraintSystem
+from repro.constraints.model import (
+    Constraint,
+    ConstraintKind,
+    ConstraintSystem,
+    FunctionInfo,
+    ObjectBlock,
+)
 from repro.graph.scc import tarjan_scc
 
 #: The offline pipeline stages, weakest to strongest.  ``none`` feeds the
@@ -96,12 +103,19 @@ class SubstitutionMap:
     in for ``v`` during solving (identity when ``v`` survived on its own).
     ``loc_members`` maps each merged *location* representative to the full
     tuple of original locations it stands for inside points-to sets; only
-    classes with two or more members appear.
+    classes with two or more members appear.  Both speak original ids.
+
+    ``original_ids`` is set when the reduced system was renumbered into
+    its own compact id space (:func:`preprocess_system` does this after
+    ``ovs`` and ``hu``): ``original_ids[c]`` is the original id of
+    compact id ``c``, ascending.  ``None`` means the reduced system keeps
+    the original id space, as :func:`hvn_reduce` returns it.
 
     The contract: for the least model ``S`` of the original system and
     the least model ``R`` of the reduced system,
-    ``S[v] = expand(R[var_to_rep[v]])`` where ``expand`` replaces each
-    location representative with its class members.  Every consumer of an
+    ``S[v] = expand(R[compact(var_to_rep[v])])`` where ``expand`` maps
+    each compact location to its original id and replaces each location
+    representative with its class members.  Every consumer of an
     optimized run — ``repro verify``, the checkers, provenance — sees
     only the expanded solution, so nothing downstream knows or cares that
     a substitution happened.
@@ -109,10 +123,17 @@ class SubstitutionMap:
 
     var_to_rep: List[int]
     loc_members: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    original_ids: Optional[List[int]] = None
 
     def is_identity(self) -> bool:
-        return not self.loc_members and all(
-            rep == var for var, rep in enumerate(self.var_to_rep)
+        # original_ids is ascending, so it keeps every id only as the identity.
+        return (
+            not self.loc_members
+            and (
+                self.original_ids is None
+                or len(self.original_ids) == len(self.var_to_rep)
+            )
+            and all(rep == var for var, rep in enumerate(self.var_to_rep))
         )
 
     def merged_var_count(self) -> int:
@@ -123,9 +144,14 @@ class SubstitutionMap:
         """Locations folded into a class representative."""
         return sum(len(members) - 1 for members in self.loc_members.values())
 
-    def expand_solution(self, solution: PointsToSolution) -> PointsToSolution:
-        """Expand a reduced-system solution to the original variables."""
-        return solution.expand(self.var_to_rep, self.loc_members or None)
+    def expand_solution(
+        self, solution: PointsToSolution, names: Optional[Sequence[str]] = None
+    ) -> PointsToSolution:
+        """Expand a reduced-system solution to the original variables,
+        named by ``names``."""
+        return solution.expand(
+            self.var_to_rep, self.loc_members or None, self.original_ids, names
+        )
 
     @classmethod
     def identity(cls, num_vars: int) -> "SubstitutionMap":
@@ -134,7 +160,12 @@ class SubstitutionMap:
 
 @dataclass
 class PreprocessResult:
-    """Outcome of one offline pipeline stage."""
+    """Outcome of one offline pipeline stage.
+
+    ``reduced`` is what the solvers see: after :func:`preprocess_system`
+    runs ``ovs`` or ``hu`` it is renumbered into its own compact id
+    space, and :meth:`expand` maps its solutions back onto ``original``.
+    """
 
     stage: str
     original: ConstraintSystem
@@ -161,7 +192,8 @@ class PreprocessResult:
         return len(self.original) - len(self.reduced)
 
     def expand(self, solution: PointsToSolution) -> PointsToSolution:
-        return self.substitution.expand_solution(solution)
+        """Map a solution of :attr:`reduced` onto :attr:`original`."""
+        return self.substitution.expand_solution(solution, self.original.names)
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +581,10 @@ def preprocess_system(
 
     ``opt`` is one of :data:`OPT_STAGES`; every stage (including
     ``"none"``) returns the same result shape, so callers compose the
-    pipeline without caring which stage ran.
+    pipeline without caring which stage ran.  ``ovs`` and ``hu`` end by
+    renumbering the reduced system into its own compact id space (see
+    :func:`compact_system`), so every later stage is sized by what the
+    reduction left, not by the input; ``none`` returns ``system`` itself.
     """
     if opt not in OPT_STAGES:
         known = ", ".join(OPT_STAGES)
@@ -568,21 +603,71 @@ def preprocess_system(
         from repro.preprocess.ovs import offline_variable_substitution
 
         ovs = offline_variable_substitution(system)
-        return PreprocessResult(
+        pre = PreprocessResult(
             stage="ovs",
             original=system,
             reduced=ovs.reduced,
             substitution=SubstitutionMap(list(ovs.var_to_rep)),
             offline_seconds=ovs.offline_seconds,
         )
-    return hvn_reduce(system)
+    else:
+        pre = hvn_reduce(system)
+    start = time.perf_counter()
+    pre.reduced, pre.substitution.original_ids = compact_system(pre.reduced)
+    pre.offline_seconds += time.perf_counter() - start
+    return pre
+
+
+def compact_system(system: ConstraintSystem) -> Tuple[ConstraintSystem, List[int]]:
+    """Renumber ``system`` onto the ids its constraints can reach.
+
+    The compact space holds every id a constraint mentions, plus every
+    whole function or object block holding one: offset arithmetic
+    addresses a block from its base, so a block moves as a unit and keeps
+    its ``max_offset``.  Ids keep their original order, so every
+    tie-break a solver takes by id (worklist order, collapse
+    representatives, Tarjan roots) falls the same way.  Returns the
+    renumbered system and the original id of each compact id.
+    """
+    live = _mentioned_ids(system)
+    functions = system.functions
+    blocks = system.object_blocks
+    for block in [*functions.values(), *blocks.values()]:
+        span = range(block.node, block.node + block.block_size)
+        if not live.isdisjoint(span):
+            live.update(span)
+    original_ids = sorted(live)
+    new_id = {old: new for new, old in enumerate(original_ids)}
+    names = system.names
+    compact = ConstraintSystem(
+        [names[old] for old in original_ids],
+        [
+            Constraint(c.kind, new_id[c.dst], new_id[c.src], c.offset, c.prov)
+            for c in system.constraints
+        ],
+        {
+            new_id[node]: FunctionInfo(new_id[node], info.name, info.param_count)
+            for node, info in functions.items()
+            if node in new_id
+        },
+        {
+            new_id[node]: ObjectBlock(new_id[node], block.name, block.size)
+            for node, block in blocks.items()
+            if node in new_id
+        },
+    )
+    return compact, original_ids
+
+
+def _mentioned_ids(system: ConstraintSystem) -> Set[int]:
+    live: Set[int] = set()
+    for constraint in system.constraints:
+        live.add(constraint.dst)
+        live.add(constraint.src)
+    return live
 
 
 def live_var_count(system: ConstraintSystem) -> int:
     """Number of distinct variables the online constraint graph will
     actually touch — the node count the offline pipeline is shrinking."""
-    live: Set[int] = set()
-    for constraint in system.constraints:
-        live.add(constraint.dst)
-        live.add(constraint.src)
-    return len(live)
+    return len(_mentioned_ids(system))

@@ -33,7 +33,9 @@ Merging never renumbers: the reduced system keeps the original variable
 universe, and ids that occur as *locations* (base sources, function
 blocks) are never merged away, so offset arithmetic and points-to set
 contents remain valid.  :meth:`OVSResult.expand` maps a solution of the
-reduced system back onto all original variables.
+reduced system back onto all original variables.  The ``--opt ovs``
+pipeline stage (:func:`repro.preprocess.hvn.preprocess_system`) then
+renumbers the reduced system into its own compact id space.
 """
 
 from __future__ import annotations

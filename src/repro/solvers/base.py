@@ -181,8 +181,9 @@ class BaseSolver:
     def solve(self) -> PointsToSolution:
         """Run the analysis (idempotent) and return the solution.
 
-        When an offline stage substituted variables away, the reduced
-        solution is expanded back to the original variable space here —
+        When an offline stage substituted variables away (and renumbered
+        the rest into a compact id space), the reduced solution is
+        expanded back to the original variable space here —
         every subclass and every consumer sees original-space solutions.
         At ``k_cs > 0`` the clone-space solution is additionally
         projected onto the base variables (per-variable union over its

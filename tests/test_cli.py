@@ -334,6 +334,20 @@ class TestErrorHandling:
             "double quotes\n"
         )
 
+    @pytest.mark.parametrize(
+        "document",
+        ['\n{"version": 2, "fingerprints": []}', '\n{"version": 1, "fingerprints": [[]]}'],
+    )
+    def test_baseline_of_the_wrong_shape_is_located(self, c_file, tmp_path, capsys, document):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(document)
+        code, _, err = run_cli(["check", c_file, "--baseline", str(baseline)], capsys)
+        assert code == 1
+        assert err == (
+            f'error: {baseline}:2: not a repro-check baseline file (want {{"version": 1, '
+            '"fingerprints": [strings]})\n'
+        )
+
     @pytest.mark.parametrize("kind", ["c", "cons", "baseline"])
     def test_invalid_utf8_is_located(self, c_file, tmp_path, capsys, kind):
         bad = tmp_path / f"bad.{kind}"

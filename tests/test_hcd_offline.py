@@ -1,7 +1,15 @@
 """Tests for the HCD offline analysis (Section 4.2, Figure 3)."""
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import random_system
 from repro.constraints.builder import ConstraintBuilder
+from repro.constraints.model import ConstraintKind, ConstraintSystem
+from repro.preprocess import hcd_offline
 from repro.preprocess.hcd_offline import hcd_offline_analysis
+from strategies import constraint_systems
 
 
 class TestPaperExample:
@@ -125,3 +133,50 @@ class TestRefSCCs:
         b.load(x, x)
         result = hcd_offline_analysis(b.build())
         assert result.offline_seconds >= 0.0
+
+
+class TestNodesWithEdges:
+    """Tarjan runs over the nodes that have an edge, not ``range(num_vars)``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tarjan_receives_only_nodes_with_an_edge(self, monkeypatch, seed):
+        calls = []
+        real = hcd_offline.tarjan_scc
+
+        def recording(nodes, successors):
+            nodes = list(nodes)
+            calls.append((nodes, successors))
+            return real(nodes, successors)
+
+        monkeypatch.setattr(hcd_offline, "tarjan_scc", recording)
+        system = random_system(seed, max_vars=40)
+        hcd_offline_analysis(system)
+        nodes, successors = calls[0]  # the main pass; later calls certify refs
+        assert nodes == sorted(set(nodes))
+        targets = {succ for node in nodes for succ in successors(node)}
+        assert all(successors(node) or node in targets for node in nodes)
+        variables, refs = set(), set()
+        for c in system.constraints:
+            if c.kind is ConstraintKind.COPY and c.src != c.dst:
+                variables.update((c.src, c.dst))
+            elif c.kind is ConstraintKind.LOAD:
+                variables.add(c.dst)
+                refs.add((c.src, c.offset))
+            elif c.kind is ConstraintKind.STORE:
+                variables.add(c.src)
+                refs.add((c.dst, c.offset))
+        assert [n for n in nodes if n < system.num_vars] == sorted(variables)
+        assert len([n for n in nodes if n >= system.num_vars]) == len(refs)
+
+    @given(system=constraint_systems(), padding=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_unused_variables_change_nothing(self, system, padding):
+        padded = ConstraintSystem(
+            list(system.names) + [f"pad{i}" for i in range(padding)],
+            system.constraints,
+            system.functions,
+            system.object_blocks,
+        )
+        plain, wide = hcd_offline_analysis(system), hcd_offline_analysis(padded)
+        assert wide.pairs == plain.pairs
+        assert wide.direct_groups == plain.direct_groups
