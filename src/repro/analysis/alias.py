@@ -22,9 +22,7 @@ class AliasAnalysis:
     def may_alias(self, a: int, b: int) -> bool:
         """Whether ``*a`` and ``*b`` may denote the same location.
 
-        Delegates to :meth:`PointsToSolution.intersects`, which answers
-        through the solver's representation-native sets (bitmap/BDD AND)
-        when available.
+        Delegates to :meth:`PointsToSolution.intersects`.
         """
         return self.solution.intersects(a, b)
 

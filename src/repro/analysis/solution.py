@@ -11,10 +11,7 @@ solution).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.points_to.interface import PointsToSet
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set
 
 
 class PointsToSolution:
@@ -26,23 +23,13 @@ class PointsToSolution:
         num_vars: int,
         names: Optional[Sequence[str]] = None,
         num_locs: Optional[int] = None,
-        backing: Optional[Mapping[int, "PointsToSet"]] = None,
     ) -> None:
         """``num_locs`` bounds the pointee ids (defaults to ``num_vars``,
         since locations live in the same id space as variables).  A
         pointee outside ``[0, num_locs)`` means the producing solver
         corrupted a set, so it is rejected here rather than surfacing as
-        a nonsense fact in a downstream client.
-
-        ``backing`` optionally maps variables to the solver's own
-        representation-native sets (bitmap/shared/BDD); :meth:`intersects`
-        answers through their native AND instead of a Python-level scan.
-        Backing never affects equality, hashing or the frozenset queries —
-        it is a query accelerator, not part of the solution's value."""
+        a nonsense fact in a downstream client."""
         self._num_vars = num_vars
-        self._backing: Optional[Dict[int, "PointsToSet"]] = (
-            dict(backing) if backing is not None else None
-        )
         self._num_locs = num_locs if num_locs is not None else num_vars
         self._names = tuple(names) if names is not None else None
         self._points_to: Dict[int, FrozenSet[int]] = {}
@@ -87,26 +74,9 @@ class PointsToSolution:
         return self._points_to.get(var, frozenset())
 
     def intersects(self, a: int, b: int) -> bool:
-        """True when ``pts(a)`` and ``pts(b)`` share a location.
-
-        The may-alias primitive.  When the producing solver attached its
-        native sets (``backing``), the test is one representation-level
-        AND — word-parallel bitmap blocks or a single BDD conjunction;
-        otherwise it falls back to ``frozenset.isdisjoint`` (still C
-        speed, but walks hash entries rather than words).
-        """
-        set_a = self.points_to(a)
-        if not set_a:
-            return False
-        set_b = self.points_to(b)
-        if not set_b:
-            return False
-        if self._backing is not None:
-            native_a = self._backing.get(a)
-            native_b = self._backing.get(b)
-            if native_a is not None and native_b is not None:
-                return native_a.intersects(native_b)
-        return not set_a.isdisjoint(set_b)
+        """True when ``pts(a)`` and ``pts(b)`` share a location — the
+        may-alias primitive (``frozenset.isdisjoint``, at C speed)."""
+        return not self.points_to(a).isdisjoint(self.points_to(b))
 
     def items(self) -> Iterable[tuple]:
         """The non-empty ``(var, pointee frozenset)`` pairs, unordered —
@@ -187,16 +157,13 @@ class PointsToSolution:
         ``loc_members`` additionally undoes *location* merging: it maps
         each merged location representative to the full class of original
         locations it stood for inside points-to sets, so every occurrence
-        of the representative expands back into its members.  Location
-        classes are disjoint, so expansion preserves set intersection —
-        :meth:`intersects` through a native backing stays valid.
+        of the representative expands back into its members.
 
         ``original_ids`` additionally undoes a renumbering: when this
         solution is over a compact id space, ``original_ids[c]`` is the
         original id of compact variable and location ``c``, while
         ``var_to_rep`` and ``loc_members`` speak original ids.  The result
-        then has ``len(var_to_rep)`` variables, named by ``names``.  The
-        renumbering is injective, so native backings stay valid too.
+        then has ``len(var_to_rep)`` variables, named by ``names``.
 
         Each distinct set object is translated once — compact locations to
         original ids, merged locations to their class — and every variable
@@ -234,21 +201,9 @@ class PointsToSolution:
             locs = rep_sets.get(rep)
             if locs is not None:
                 expanded[var] = locs
-        backing: Optional[Dict[int, "PointsToSet"]] = None
-        if self._backing is not None:
-            # Native sets keep compact, compressed contents, which stays
-            # sound for intersects(): two expanded sets share a location
-            # exactly when their native sets do.
-            rep_native = {translate(var): native for var, native in self._backing.items()}
-            backing = {}
-            for var, rep in enumerate(var_to_rep):
-                native = rep_native.get(rep)
-                if native is not None:
-                    backing[var] = native
         return PointsToSolution(
             expanded,
             num_vars,
             names if renumbered else self._names,
             num_locs=num_vars if renumbered else self._num_locs,
-            backing=backing,
         )

@@ -252,8 +252,7 @@ class CheckContext:
 
     def pts(self, var: int):
         """``points_to`` with per-context memoization: the checkers ask
-        about overlapping pointer populations, and materializing a
-        backing-native set into a frozenset is the expensive part."""
+        about overlapping pointer populations."""
         cached = self._pts_cache.get(var)
         if cached is None:
             cached = self.solution.points_to(var)

@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(FAMILY_KINDS) + (["all"] if pts_all else []),
             help="points-to representation (default bitmap): GCC-style "
             "sparse bitmaps, per-variable BDDs, or interned bignum intsets "
-            "(fused word-parallel kernel)"
+            "(word-parallel set operations)"
             + ("; 'all' runs every family" if pts_all else ""),
         )
         p.add_argument(

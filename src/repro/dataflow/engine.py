@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.datastructs.intset import IntBitSet
+from repro.graph.scc import tarjan_scc
 
 
 @dataclass
@@ -111,54 +112,9 @@ class UnionDataflow:
 
     def _condense(self) -> List[List[int]]:
         """Strongly connected components of the edge graph, listed in
-        topological order of the condensation (iterative Tarjan)."""
+        topological order of the condensation."""
         succs = self._succs
-        index: Dict[int, int] = {}
-        lowlink: Dict[int, int] = {}
-        on_stack: Set[int] = set()
-        stack: List[int] = []
-        sccs: List[List[int]] = []
-        counter = 0
-        for root in list(succs):
-            if root in index:
-                continue
-            work: List[Tuple[int, int]] = [(root, 0)]
-            while work:
-                node, child = work[-1]
-                if child == 0:
-                    index[node] = lowlink[node] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                targets = succs.get(node, ())
-                advanced = False
-                while child < len(targets):
-                    dst = targets[child]
-                    child += 1
-                    if dst not in index:
-                        work[-1] = (node, child)
-                        work.append((dst, 0))
-                        advanced = True
-                        break
-                    if dst in on_stack:
-                        if index[dst] < lowlink[node]:
-                            lowlink[node] = index[dst]
-                if advanced:
-                    continue
-                work.pop()
-                if lowlink[node] == index[node]:
-                    scc: List[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc.append(member)
-                        if member == node:
-                            break
-                    sccs.append(scc)
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[node] < lowlink[parent]:
-                        lowlink[parent] = lowlink[node]
+        sccs: List[List[int]] = tarjan_scc(list(succs), lambda node: succs.get(node, ()))
         # Tarjan emits components in reverse topological order.
         sccs.reverse()
         return sccs

@@ -12,9 +12,9 @@ for sets stored as arbitrary-precision ints:
 - a canonical table maps each value to one designated int object and a
   small id, so equal sets alias one object and set equality — the Lazy
   Cycle Detection trigger — usually resolves on a pointer comparison;
-- bounded memo caches map operand ids to results for union, single-bit
-  insertion and the masked shift of an offset constraint, so a repeated
-  propagation step is a dict hit instead of a bignum operation.
+- bounded memo caches map operand ids to results for union and
+  single-bit insertion, so a repeated propagation step is a dict hit
+  instead of a bignum operation.
 
 Ids are monotonically increasing and never reused, which keeps stale
 memo entries harmless — they can only miss, never alias.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-#: Default bound on each memo cache (union, add and offset), in entries.
+#: Default bound on each memo cache (union and add), in entries.
 #: Eviction is FIFO: insertion order approximates age, and a popped pair
 #: simply falls back to a real bignum operation on its next occurrence.
 DEFAULT_MEMO_CAPACITY = 1 << 16
@@ -44,7 +44,6 @@ class InternStats:
     union_memo_misses: int = 0
     add_memo_hits: int = 0
     memo_evictions: int = 0
-    offset_memo_hits: int = 0
 
     @property
     def union_memo_hit_rate(self) -> float:
@@ -61,7 +60,6 @@ class InternStats:
             "union_memo_misses": self.union_memo_misses,
             "add_memo_hits": self.add_memo_hits,
             "memo_evictions": self.memo_evictions,
-            "offset_memo_hits": self.offset_memo_hits,
             "union_memo_hit_rate": self.union_memo_hit_rate,
         }
 
@@ -85,8 +83,7 @@ class IntInternTable:
       digit comparison, and memory accounting counts each value once;
     - every canonical value carries a small monotone id, giving the
       memo caches O(1) keys for whole propagation steps — union of two
-      canonical operands, single-bit insertion, and the masked shift an
-      offset constraint applies (``(bits & mask) << offset``).
+      canonical operands and single-bit insertion.
 
     Memo entries store ``(result_bits, result_id)`` directly (strong
     refs; ints cannot be weakly referenced) and both the table and the
@@ -116,10 +113,6 @@ class IntInternTable:
         self._union_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
         #: (id, loc) -> (bits-with-loc, id).
         self._add_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        #: (id, offset) -> ((bits & mask) << offset bits, id).  The mask
-        #: is a property of the constraint system, so the offset alone
-        #: determines it and stays out of the key.
-        self._offset_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._next_id = 1
         # Counters (snapshotted into InternStats).
         self.nodes_created = 1  # the pinned empty value
@@ -127,7 +120,6 @@ class IntInternTable:
         self.union_memo_hits = 0
         self.union_memo_misses = 0
         self.add_memo_hits = 0
-        self.offset_memo_hits = 0
         self.memo_evictions = 0
         self.peak_nodes = 1
         #: The canonical empty value, pinned for the table's lifetime.
@@ -206,18 +198,6 @@ class IntInternTable:
         self._memo_store(self._add_memo, key, result)
         return result
 
-    def shifted(self, bits: int, node_id: int, mask: int, offset: int) -> Tuple[int, int]:
-        """Canonical ``(bits, id)`` for ``(bits & mask) << offset`` — one
-        whole OFFS propagation step, memoized per (operand, offset)."""
-        key = (node_id, offset)
-        hit = self._offset_memo.get(key)
-        if hit is not None:
-            self.offset_memo_hits += 1
-            return hit
-        result = self.intern((bits & mask) << offset)
-        self._memo_store(self._offset_memo, key, result)
-        return result
-
     def _memo_store(
         self, memo: Dict, key: Tuple[int, int], result: Tuple[int, int]
     ) -> None:
@@ -249,5 +229,4 @@ class IntInternTable:
             union_memo_misses=self.union_memo_misses,
             add_memo_hits=self.add_memo_hits,
             memo_evictions=self.memo_evictions,
-            offset_memo_hits=self.offset_memo_hits,
         )

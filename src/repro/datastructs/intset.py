@@ -73,8 +73,9 @@ class IntBitSet:
     shell uses for its difference-processing state (``complex_done``
     and the HCD done-sets): membership, ``add``/``discard``,
     destructive union/intersection/difference, ``copy`` and ascending
-    iteration.  The fused solver kernel reaches through ``.bits`` to run
-    whole-set operations as single bignum expressions.
+    iteration.  The ``int`` family's ``fresh`` diff and LCD's batched
+    loop reach through ``.bits`` to run whole-set operations as single
+    bignum expressions.
     """
 
     __slots__ = ("bits",)
@@ -147,9 +148,6 @@ class IntBitSet:
             return False
         self.bits = merged
         return True
-
-    def intersects(self, other: "IntBitSet") -> bool:
-        return bool(self.bits & other.bits)
 
     def same_as(self, other: "IntBitSet") -> bool:
         return self.bits == other.bits

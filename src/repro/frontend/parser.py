@@ -244,7 +244,11 @@ class Parser:
 
     @_nesting_level
     def _parse_param_list(self) -> Tuple[List[ast.Param], bool]:
-        """Parse up to and including the closing ``)``."""
+        """Parse up to and including the closing ``)``.
+
+        A parameter name may appear once per list, as in C; this holds
+        for function-pointer declarators too.
+        """
         params: List[ast.Param] = []
         is_varargs = False
         if self._accept_op(")"):
@@ -255,7 +259,15 @@ class Parser:
                 break
             base, _, _ = self._parse_type_specifier()
             line = self._current.line
+            start = self._pos
             ctype, name, fn_params, _ = self._parse_declarator(base)
+            if name and any(param.name == name for param in params):
+                # The declarator's first identifier is its name.
+                token = next(
+                    token for token in self._tokens[start:self._pos]
+                    if token.kind is TokenKind.IDENT
+                )
+                raise ParseError(f"duplicate parameter {name!r}", token)
             if fn_params is not None:
                 # Function parameter declared with function type: it
                 # decays to a function pointer.

@@ -33,9 +33,9 @@ class ConstraintGraph:
         self.family = family
         n = system.num_vars
         self.uf = UnionFind(n)
-        #: Adjacency sets share the family's scratch layout so fused
-        #: kernels iterate and merge them with the same word-parallel
-        #: machinery as the points-to sets themselves.
+        #: Adjacency sets share the family's scratch layout, so the
+        #: ``int`` family iterates and merges them with the same
+        #: word-parallel machinery as the points-to sets themselves.
         self._edge_set = family.make_scratch().__class__
         #: succ[u] holds v  <=>  edge u -> v  <=>  pts(v) >= pts(u).
         self.succ = [self._edge_set() for _ in range(n)]
@@ -50,8 +50,8 @@ class ConstraintGraph:
         #: complex_done[p] — pointees already run through p's complex
         #: constraints (difference processing: a pointee is handled once
         #: per node, not once per worklist visit).  Allocated by the
-        #: family so fused kernels can diff them against points-to sets
-        #: in the representation's own layout.
+        #: family so its ``fresh`` step can diff them against points-to
+        #: sets in the representation's own layout.
         self.complex_done = [family.make_scratch() for _ in range(n)]
         #: Cross-resolution jobs created by collapses: when two nodes with
         #: different processed-pointee sets merge, each side's already-done

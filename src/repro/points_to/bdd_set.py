@@ -60,12 +60,6 @@ class BDDPointsToSet:
             manager.apply_and(self.node, self._family.domain.encode(loc)) != FALSE
         )
 
-    def intersects(self, other: "BDDPointsToSet") -> bool:
-        if self.node == FALSE or other.node == FALSE:
-            return False
-        # One conjunction over the shared manager; no allsat enumeration.
-        return self._family.manager.apply_and(self.node, other.node) != FALSE
-
     def same_as(self, other: "BDDPointsToSet") -> bool:
         # Canonicity makes set equality a pointer comparison.
         return self.node == other.node

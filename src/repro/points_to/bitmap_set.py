@@ -26,9 +26,6 @@ class BitmapPointsToSet:
     def contains(self, loc: int) -> bool:
         return loc in self.bits
 
-    def intersects(self, other: "BitmapPointsToSet") -> bool:
-        return self.bits.intersects(other.bits)
-
     def same_as(self, other: "BitmapPointsToSet") -> bool:
         return self.bits.same_as(other.bits)
 

@@ -25,14 +25,6 @@ class PointsToSet(Protocol):
     def contains(self, loc: int) -> bool:
         """Membership test."""
 
-    def intersects(self, other: "PointsToSet") -> bool:
-        """True when the two sets share any location (same family).
-
-        The representation-native AND — word-parallel on bitmap blocks,
-        one ``apply_and`` on BDDs — without materializing the
-        intersection.  This is the alias-query primitive.
-        """
-
     def same_as(self, other: "PointsToSet") -> bool:
         """Set equality with another set of the same family."""
 
@@ -58,8 +50,9 @@ class PointsToFamily:
     #: Short name used by the solver registry and the benchmarks.
     name: str = "abstract"
 
-    #: True when the family supports the solvers' fused word-parallel
-    #: propagate kernel (whole-set bignum diffs; the ``int`` family).
+    #: True when every set is one canonical bignum (the ``int`` family):
+    #: LCD then runs its batched-trigger loop, and solution export
+    #: dedups by the shared bignum object instead of the set handle.
     fused_kernel: bool = False
 
     def make(self) -> PointsToSet:
@@ -73,6 +66,16 @@ class PointsToFamily:
         from repro.datastructs.sparse_bitmap import SparseBitmap
 
         return SparseBitmap()
+
+    def fresh(self, pts: PointsToSet, done):
+        """The members of ``pts`` not in ``done`` (a scratch set), as a
+        new scratch set — the difference-processing step shared by
+        complex-constraint resolution and the HCD pair check."""
+        out = self.make_scratch()
+        for loc in pts:
+            if loc not in done:
+                out.add(loc)
+        return out
 
     def make_from(self, locs: Iterable[int]) -> PointsToSet:
         """A set holding exactly ``locs``.

@@ -11,7 +11,7 @@ arbitrary-precision integer interned in the family's
   probes;
 - interning gives equal values one int object and a monotone id, so
   ``same_as`` — the Lazy Cycle Detection trigger — hits a pointer
-  comparison first, and the table's union/add/offset memos turn repeated
+  comparison first, and the table's union/add memos turn repeated
   propagation steps into dict hits (the MDE operation-dedup direction);
 - ``copy`` is free: the handle shares the immutable canonical int until
   a mutation re-points it.
@@ -77,24 +77,8 @@ class IntPointsToSet:
         self.node_id = node_id
         return True
 
-    def ior_bits_and_test(self, bits: int, node_id: int) -> bool:
-        """Fused-kernel entry: union a canonical ``(bits, id)`` pair in."""
-        if node_id == self.node_id:
-            return False
-        merged_bits, merged_id = self._table.union(
-            self.bits, self.node_id, bits, node_id
-        )
-        if merged_id == self.node_id:
-            return False
-        self.bits = merged_bits
-        self.node_id = merged_id
-        return True
-
     def contains(self, loc: int) -> bool:
         return bool((self.bits >> loc) & 1)
-
-    def intersects(self, other: "IntPointsToSet") -> bool:
-        return bool(self.bits & other.bits)
 
     def same_as(self, other: "IntPointsToSet") -> bool:
         # Canonical values alias one object; `is` catches the common case
@@ -122,7 +106,7 @@ class IntPointsToFamily(PointsToFamily):
     """One int intern table shared by every set of a solver run."""
 
     name = "int"
-    #: Signals the solvers' fused word-parallel propagate kernel.
+    #: Selects LCD's batched-trigger loop (see ``LCDSolver._run_fused``).
     fused_kernel = True
 
     def __init__(self, memo_capacity: int = DEFAULT_MEMO_CAPACITY) -> None:
@@ -154,9 +138,13 @@ class IntPointsToFamily(PointsToFamily):
         return made
 
     def make_scratch(self) -> IntBitSet:
-        """Solver scratch state (done-sets) in kernel layout, so the
-        fused path diffs them against points-to sets bit-wise."""
+        """Solver scratch state (done-sets) in bignum layout, so
+        :meth:`fresh` diffs them against points-to sets bit-wise."""
         return IntBitSet()
+
+    def fresh(self, pts: IntPointsToSet, done: IntBitSet) -> IntBitSet:
+        """One word-parallel diff instead of a membership scan."""
+        return IntBitSet.from_bits(pts.bits & ~done.bits)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -20,10 +20,9 @@ from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintSystem
 from repro.contexts.manager import ContextExpansion, CtxStats, expand_contexts
 from repro.datastructs.intern_table import InternStats
-from repro.datastructs.intset import iter_bits as _iter_bits
 from repro.datastructs.sparse_bitmap import SparseBitmap
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.points_to.interface import PointsToFamily, PointsToSet, make_family
+from repro.points_to.interface import PointsToFamily, make_family
 from repro.preprocess.hcd_offline import HCDOfflineResult, hcd_offline_analysis
 from repro.preprocess.hvn import PreprocessResult, preprocess_system
 from repro.verify.sanitizer import Sanitizer, VerifyStats
@@ -253,14 +252,6 @@ class GraphSolver(BaseSolver):
         system = self.system  # the (possibly) offline-reduced system
         self.worklist_strategy = worklist
         self.family: PointsToFamily = make_family(pts, system.num_vars)
-        #: Fused word-parallel kernel: families whose sets are canonical
-        #: bignums (``int``) run batched whole-set diffs instead of the
-        #: per-element loops, with propagation steps memoized through the
-        #: intern table (union/add/offset memos).
-        self._fused = bool(getattr(self.family, "fused_kernel", False))
-        #: offset -> bignum mask of locations with max_offset >= offset
-        #: (the certifier's ``_offset_mask`` trick), built lazily.
-        self._offset_masks: Dict[int, int] = {}
         self.graph = ConstraintGraph(system, self.family)
         #: HCD pair list L, keyed by current representative.
         self._hcd_pairs: Dict[int, List[Tuple[int, int]]] = {}
@@ -327,19 +318,13 @@ class GraphSolver(BaseSolver):
         done = self._hcd_done.get(node)
         if done is None:
             done = self._hcd_done[node] = self.family.make_scratch()
-        if self._fused:
-            # One word-parallel diff instead of a membership scan.
-            fresh_bits = graph.pts_of(node).bits & ~done.bits
-            if not fresh_bits:
-                return node
-            fresh = list(_iter_bits(fresh_bits))
-        else:
-            fresh = [loc for loc in graph.pts_of(node) if loc not in done]
-            if not fresh:
-                return node
+        fresh = self.family.fresh(graph.pts_of(node), done)
+        if not fresh:
+            return node
+        locs = list(fresh)
         for offset, partner in list(pairs):
             targets = []
-            for loc in fresh:
+            for loc in locs:
                 target = graph.offset_target(loc, offset)
                 if target is not None:
                     targets.append(target)
@@ -360,11 +345,7 @@ class GraphSolver(BaseSolver):
             done = self._hcd_done.get(node)
             if done is None:
                 done = self._hcd_done[node] = self.family.make_scratch()
-            if self._fused:
-                done.bits |= fresh_bits
-            else:
-                for loc in fresh:
-                    done.add(loc)
+            done.ior(fresh)
         return node
 
     # ------------------------------------------------------------------
@@ -380,40 +361,28 @@ class GraphSolver(BaseSolver):
         propagate).
         """
         graph = self.graph
-        fused = self._fused
         pending = graph.pending_complex[node]
         if pending:
             graph.pending_complex[node] = []
             for loads, stores, offs, locs in pending:
-                if fused:
-                    self._apply_complex_fused(loads, stores, offs, locs.bits, push)
-                else:
-                    self._apply_complex(loads, stores, offs, locs, push)
+                self._apply_complex(loads, stores, offs, list(locs), push)
         loads = graph.loads[node]
         stores = graph.stores[node]
         offs = graph.offs[node]
         if not loads and not stores and not offs:
             return
         done = graph.complex_done[node]
-        if fused:
-            fresh_bits = graph.pts_of(node).bits & ~done.bits
-            if not fresh_bits:
-                return
-            done.bits |= fresh_bits
-            self._apply_complex_fused(loads, stores, offs, fresh_bits, push)
-            return
-        fresh = [loc for loc in graph.pts_of(node) if loc not in done]
+        fresh = self.family.fresh(graph.pts_of(node), done)
         if not fresh:
             return
-        for loc in fresh:
-            done.add(loc)
-        self._apply_complex(loads, stores, offs, fresh, push)
+        done.ior(fresh)
+        self._apply_complex(loads, stores, offs, list(fresh), push)
 
-    def _apply_complex(self, loads, stores, offs, locs, push) -> None:
+    def _apply_complex(self, loads, stores, offs, locs: List[int], push) -> None:
         """Apply the complex constraints in ``loads``/``stores``/``offs``
         to the pointees ``locs``: add demanded edges, and for the
         offset-copy form feed shifted locations straight into the
-        destination's points-to set."""
+        destination's points-to set, one propagation per location."""
         graph = self.graph
         find = graph.find
         succ = graph.succ
@@ -457,68 +426,6 @@ class GraphSolver(BaseSolver):
                 push(dst_rep)
         self.stats.edges_added += edges_added
 
-    def _offset_mask(self, offset: int) -> int:
-        """Bignum of locations whose layout extends ``offset`` slots —
-        the certifier's trick: an OFFS/offset-deref step over a whole
-        pointee set becomes ``(bits & mask) << offset``."""
-        mask = self._offset_masks.get(offset)
-        if mask is None:
-            if offset == 0:
-                mask = -1  # every location is valid at offset 0
-            else:
-                mask = 0
-                for loc, max_off in enumerate(self.system.max_offset):
-                    if max_off >= offset:
-                        mask |= 1 << loc
-            self._offset_masks[offset] = mask
-        return mask
-
-    def _apply_complex_fused(self, loads, stores, offs, locs_bits, push) -> None:
-        """Word-parallel `_apply_complex`: pointees arrive as one bignum,
-        offset filtering is a mask, and the offset-copy form is one
-        memoized masked shift.  Loads and stores only insert edges, as on
-        the plain path."""
-        graph = self.graph
-        find = graph.uf.find
-        succ = graph.succ
-        pts_list = graph.pts
-        table = self.family.table
-        edges_added = 0
-        for dst, offset in loads:
-            dst_rep = find(dst)
-            bits = locs_bits & self._offset_mask(offset) if offset else locs_bits
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                source = find(low.bit_length() - 1 + offset)
-                if source != dst_rep and succ[source].add(dst_rep):
-                    edges_added += 1
-                    push(source)
-        for src, offset in stores:
-            src_rep = find(src)
-            bits = locs_bits & self._offset_mask(offset) if offset else locs_bits
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                target = find(low.bit_length() - 1 + offset)
-                if target != src_rep and succ[src_rep].add(target):
-                    edges_added += 1
-                    push(src_rep)
-        if offs:
-            locs_canon, locs_id = table.intern(locs_bits)
-            for dst, offset in offs:
-                shifted_bits, shifted_id = table.shifted(
-                    locs_canon, locs_id, self._offset_mask(offset), offset
-                )
-                if not shifted_bits:
-                    continue
-                dst_rep = find(dst)
-                # One per shifted location, as `_apply_complex` counts.
-                self.stats.propagations += shifted_bits.bit_count()
-                if pts_list[dst_rep].ior_bits_and_test(shifted_bits, shifted_id):
-                    push(dst_rep)
-        self.stats.edges_added += edges_added
-
     # ------------------------------------------------------------------
     # Propagation (step 2 of the Figure 1 loop body)
     # ------------------------------------------------------------------
@@ -530,43 +437,17 @@ class GraphSolver(BaseSolver):
             self.sanitizer.check_monotone(node)
             for succ in list(graph.successors(node)):
                 self.sanitizer.check_monotone(succ)
-        if self._fused:
-            self._propagate_fused(node, push)
-            return
-        pts = graph.pts_of(node)
-        for succ in list(graph.successors(node)):
-            self.stats.propagations += 1
-            if graph.pts_of(succ).ior_and_test(pts):
-                push(succ)
-
-    def _propagate_fused(self, node: int, push) -> None:
-        """Word-parallel propagate: one tight loop over raw successor
-        ids with the union-find hoisted and unions memoized by canonical
-        id through the intern table."""
-        graph = self.graph
-        uf_find = graph.uf.find
+        find = graph.uf.find
         pts_list = graph.pts
         stats = self.stats
-        node = uf_find(node)
+        node = find(node)
         pts = pts_list[node]
-        pts_bits = pts.bits
-        pts_id = pts.node_id
-        union = self.family.table.union
         for raw in list(graph.succ[node]):
-            succ = uf_find(raw)
+            succ = find(raw)
             if succ == node:
                 continue
             stats.propagations += 1
-            target = pts_list[succ]
-            target_id = target.node_id
-            if target_id == pts_id:
-                continue
-            merged_bits, merged_id = union(
-                target.bits, target_id, pts_bits, pts_id
-            )
-            if merged_id != target_id:
-                target.bits = merged_bits
-                target.node_id = merged_id
+            if pts_list[succ].ior_and_test(pts):
                 push(succ)
 
     # ------------------------------------------------------------------
@@ -577,17 +458,13 @@ class GraphSolver(BaseSolver):
         graph = self.graph
         num_vars = self.system.num_vars
         # Collapsed variables share their representative's set object, and
-        # the fused family's canonical bignums share one object per value:
-        # decode each distinct backing set once and give every variable
-        # holding it the same frozenset, so the solution, its expansion
-        # and the output renderers all see the sharing.
-        fused = self._fused
+        # the int family's canonical bignums share one object per value:
+        # decode each distinct set once and give every variable holding
+        # it the same frozenset, so the solution, its expansion and the
+        # output renderers all see the sharing.
+        fused = self.family.fused_kernel
         decoded: Dict[int, FrozenSet[int]] = {}
         mapping: Dict[int, FrozenSet[int]] = {}
-        # Hand the solver's native sets to the solution so alias/checker
-        # queries run on the representation's own AND (merged variables
-        # share one set object, which is fine for read-only queries).
-        backing: Dict[int, PointsToSet] = {}
         for var in range(num_vars):
             pts = graph.pts_of(var)
             key = id(pts.bits) if fused else id(pts)
@@ -597,10 +474,8 @@ class GraphSolver(BaseSolver):
                 # shared empty set spares a frozenset per such variable.
                 locs = decoded[key] = frozenset(pts) or _NO_LOCATIONS
             mapping[var] = locs
-            backing[var] = pts
         return PointsToSolution(
-            mapping, num_vars, self.system.names,
-            num_locs=num_vars, backing=backing,
+            mapping, num_vars, self.system.names, num_locs=num_vars
         )
 
     def _account_memory(self) -> None:

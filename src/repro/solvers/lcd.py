@@ -52,7 +52,7 @@ class LCDSolver(GraphSolver):
             if len(graph.pts_of(node)):
                 worklist.push(node)
 
-        if self._fused:
+        if self.family.fused_kernel:
             self._run_fused(worklist, attempted)
         else:
             while worklist:
@@ -92,10 +92,13 @@ class LCDSolver(GraphSolver):
         return self._export_solution()
 
     def _run_fused(self, worklist, attempted: Set[Tuple[int, int]]) -> None:
-        """The Figure 2 loop on the fused kernel: union-find and points-to
-        lists hoisted into locals, the trigger's set equality downgraded
-        to a canonical-object comparison, and edge unions memoized by id
-        through the intern table — bignum ops only, no per-element work."""
+        """The Figure 2 loop for the ``int`` family, the one solver path
+        kept per family: union-find and points-to lists hoisted into
+        locals, the trigger's set equality downgraded to a canonical-object
+        comparison, edge unions memoized by id through the intern table,
+        and a sweep's triggers batched into one search.  The batching
+        carries most of int's speedup over bitmap under LCD; it also
+        changes the search counters, so int under LCD reports its own."""
         graph = self.graph
         uf_find = graph.uf.find
         #: Direct parent-array fast path: nodes that are their own parent
@@ -161,12 +164,12 @@ class LCDSolver(GraphSolver):
 
         ``roots`` is one node or a list of them — a multi-root search
         shares its visited state, so overlapping reachable regions cost
-        one traversal (the fused loop batches a whole sweep's triggers).
+        one traversal (the ``int`` loop batches a whole sweep's triggers).
         """
         graph = self.graph
         visited = 0
 
-        if self._fused:
+        if self.family.fused_kernel:
             # Same normalization as graph.successors, without the
             # generator machinery — this callback runs once per node the
             # DFS touches, which LCD does a lot of.

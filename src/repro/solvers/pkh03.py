@@ -89,7 +89,7 @@ class PKH03Solver(GraphSolver):
     # Edge insertion through the dynamic order
     # ------------------------------------------------------------------
 
-    def _apply_complex(self, loads, stores, offs, locs, push) -> None:
+    def _apply_complex(self, loads, stores, offs, locs: List[int], push) -> None:
         """Route every new edge through the dynamic topological order."""
         graph = self.graph
         find = graph.find
@@ -123,15 +123,6 @@ class PKH03Solver(GraphSolver):
                     changed = True
             if changed:
                 push(dst_rep)
-
-    def _apply_complex_fused(self, loads, stores, offs, locs_bits, push) -> None:
-        """Every edge must pass through the dynamic topological order, so
-        the fused batch form decodes the pointee bignum and reuses the
-        order-aware `_apply_complex` (the fused fresh-diff and propagate
-        paths in the base class still apply)."""
-        from repro.datastructs.intset import iter_bits
-
-        self._apply_complex(loads, stores, offs, list(iter_bits(locs_bits)), push)
 
     def _insert_edge(self, src: int, dst: int, push) -> None:
         graph = self.graph

@@ -244,7 +244,7 @@ class Sanitizer:
                     node_id=node_id,
                 )
             ids_seen[node_id] = node_id
-        for memo in (table._union_memo, table._add_memo, table._offset_memo):
+        for memo in (table._union_memo, table._add_memo):
             for bits, node_id in list(memo.values()):
                 entry = table._by_value.get(bits)
                 if entry is not None and entry[1] != node_id:

@@ -3,8 +3,8 @@
 Three layers under test:
 
 - :class:`IntBitSet` must agree operation-for-operation with
-  :class:`SparseBitmap` (the solver shell swaps one for the other when
-  the family requests the fused kernel);
+  :class:`SparseBitmap` (the solver shell swaps one for the other as
+  the family's scratch layout);
 - :class:`IntInternTable` canonicalization: equal values alias one int
   object, ids are monotone and never reused, memo hits and table
   evictions are semantically invisible;
@@ -58,7 +58,6 @@ class TestIntBitSetAgainstSparseBitmap:
         a_int, a_map = pair(xs)
         b_int, b_map = pair(ys)
         assert a_int.issubset(b_int) == a_map.issubset(b_map)
-        assert a_int.intersects(b_int) == a_map.intersects(b_map)
         assert a_int.iand(b_int) == a_map.iand(b_map)
         assert list(a_int) == list(a_map) == sorted(set(xs) & set(ys))
 
@@ -169,17 +168,14 @@ class TestIntInternTable:
         assert table.union(small, small_id, big, big_id) == (big, big_id)
         assert table.union(small, small_id, 0, table.empty_id) == (small, small_id)
 
-    def test_with_added_and_shifted(self):
+    def test_with_added(self):
         table = IntInternTable()
         bits, node_id = table.intern(bits_from_iter([2]))
         added, added_id = table.with_added(bits, node_id, 6)
         assert added == bits_from_iter([2, 6]) and added_id != node_id
         assert table.with_added(added, added_id, 6) == (added, added_id)
-        mask = bits_from_iter([2])  # only loc 2 admits the offset
-        shifted, _ = table.shifted(added, added_id, mask, 3)
-        assert shifted == bits_from_iter([5])
-        table.shifted(added, added_id, mask, 3)
-        assert table.offset_memo_hits == 1
+        table.with_added(bits, node_id, 6)
+        assert table.add_memo_hits == 1
 
     def test_eviction_keeps_table_bounded_and_correct(self):
         table = IntInternTable(table_capacity=8, memo_capacity=8)
@@ -210,7 +206,6 @@ class TestIntInternTable:
         stats = table.stats_snapshot().as_dict()
         assert stats["live_nodes"] == table.live_count
         assert stats["union_memo_misses"] == 1
-        assert "offset_memo_hits" in stats
 
     def test_rejects_bad_capacities(self):
         with pytest.raises(ValueError):
@@ -237,16 +232,6 @@ class TestIntFamilyContracts:
         assert a.same_as(b)
         b.add(8)
         assert not a.same_as(b)
-
-    def test_ior_bits_and_test_matches_ior(self):
-        family = IntPointsToFamily()
-        a = family.make_from([1, 2])
-        b = family.make_from([2, 9])
-        target = family.make_from([1, 2])
-        assert a.ior_and_test(b) is True
-        assert target.ior_bits_and_test(b.bits, b.node_id) is True
-        assert sorted(a) == sorted(target) == [1, 2, 9]
-        assert target.ior_bits_and_test(b.bits, b.node_id) is False
 
     def test_scratch_is_int_backed(self):
         family = IntPointsToFamily()

@@ -107,6 +107,32 @@ def test_mutated_c_programs(workdir, source):
     run_located(["analyze", path], path)
 
 
+#: A repeated parameter name, as a definition, a prototype and a
+#: function-pointer declarator; C rejects all three.
+DUPLICATE_PARAMETERS = [
+    "int f(int a, int a) { return 0; }",
+    "int f(int a, int a);",
+    "int (*fp)(int a, int a);",
+]
+
+
+@pytest.mark.parametrize("declaration", DUPLICATE_PARAMETERS)
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_duplicate_parameter_is_located(workdir, command, declaration):
+    path = str(workdir / "duplicate.c")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(declaration + "\nint main() { return 0; }\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, path])
+    # 1-based column of the second ``a``.
+    column = declaration.index("int a)") + 5
+    assert code == 1
+    assert err.getvalue().startswith(
+        f"error: {path}:1:{column}: duplicate parameter 'a'"
+    ), err.getvalue()
+
+
 # ----------------------------------------------------------------------
 # Line-mutated constraint files through solve, verify, stats and compare
 # ----------------------------------------------------------------------

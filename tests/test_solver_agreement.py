@@ -117,9 +117,9 @@ class TestRandomizedDifferential:
 
 
 class TestIntFamily:
-    """The bignum family runs the fused word-parallel kernel, which takes
-    different code paths through every solver — so its bar is
-    *bit-identical* to bitmaps for every algorithm."""
+    """The bignum family shares the solver kernel, diffs its sets
+    word-parallel (``fresh``) and runs LCD's batched-trigger loop — so
+    its bar is *bit-identical* to bitmaps for every algorithm."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_every_solver_on_fixtures(self, simple_system, cycle_system, algorithm):
@@ -171,11 +171,13 @@ class TestIntFamily:
 
 
 class TestCounterAgreement:
-    """The families share one solver loop, so the paper's section 5.3
+    """The families share one solver kernel, so the paper's section 5.3
     counters must not depend on the representation: every family reports
     bitmap's exact values.  The one exception is ``int`` under LCD, whose
-    fused loop batches a sweep's triggers into one search; a single
-    kernel for all families has to remove it."""
+    own loop batches a sweep's triggers into one search.  That loop stays
+    because it carries int's speedup under LCD: the per-trigger loop
+    nearly doubles int's lcd+hcd solve time, and bench_25 budgets int at
+    2x bitmap (measurements in docs/internals.md)."""
 
     COUNTERS = (
         "propagations", "nodes_searched", "nodes_collapsed",
@@ -200,27 +202,36 @@ class TestCounterAgreement:
         b.offset_assign(q, p, s1.field_offset(1))
         return b.build()
 
-    @pytest.mark.parametrize("name", ["emacs", "wine", "linux", "offs"])
-    def test_families_report_bitmap_counters(self, name):
+    def _assert_bitmap_counters(self, system, opt):
         from repro.solvers.registry import make_solver
 
+        for algorithm in ALGORITHMS:
+            counters = {}
+            for pts in FAMILY_KINDS:
+                if pts == "int" and algorithm.startswith("lcd"):
+                    continue
+                solver = make_solver(system, algorithm, pts=pts, opt=opt)
+                solver.solve()
+                stats = solver.stats.as_dict()
+                counters[pts] = {key: stats[key] for key in self.COUNTERS}
+            for pts, values in counters.items():
+                assert values == counters["bitmap"], (algorithm, opt, pts)
+
+    @pytest.mark.parametrize("name", ["emacs", "wine", "linux", "offs"])
+    def test_families_report_bitmap_counters(self, name):
         if name == "offs":
             system = self._offset_copy_system()
         else:
             system = generate_workload(name, scale=1 / 512, seed=2)
-        for algorithm in ALGORITHMS:
-            families = [
-                pts for pts in FAMILY_KINDS
-                if not (pts == "int" and algorithm.startswith("lcd"))
-            ]
-            counters = {}
-            for pts in families:
-                solver = make_solver(system, algorithm, pts=pts, opt="hu")
-                solver.solve()
-                stats = solver.stats.as_dict()
-                counters[pts] = {key: stats[key] for key in self.COUNTERS}
-            for pts in families:
-                assert counters[pts] == counters["bitmap"], (algorithm, pts)
+        self._assert_bitmap_counters(system, "hu")
+
+    @given(system=constraint_systems())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_drawn_systems_report_bitmap_counters(self, system):
+        """The strategy also draws OFFS constraints, object blocks and
+        indirect calls, which the workloads above lack."""
+        for opt in ("none", "hu"):
+            self._assert_bitmap_counters(system, opt)
 
 
 class TestMetamorphic:
