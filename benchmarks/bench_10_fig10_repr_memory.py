@@ -5,10 +5,10 @@ caveat that the fixed pool makes the *smallest* benchmark (Emacs) cheaper
 in bitmaps — we reproduce both the average direction and that caveat's
 mechanism (the ratio grows with benchmark size).
 
-Extended with the interned bignum ``int`` family, which attacks the same
-redundancy from the set side — converged variables hold identical sets,
-which its intern table stores once — in the same bitmap-normalized
-table.
+Extended with the bignum ``int`` family, which attacks the same
+redundancy from the set side — one dense int per set, and a converged
+copy chain shares one int object, charged once — in the same
+bitmap-normalized table.
 """
 
 

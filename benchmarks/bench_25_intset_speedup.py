@@ -1,12 +1,11 @@
 """Extension — the bignum family's fused kernel vs sparse bitmaps.
 
 Not a paper table: this is the budget gate for the ``int`` points-to
-family (``points_to/intset.py``) and the fused word-parallel propagate
-kernel it switches on in the solvers.  The representation bets that one
-arbitrary-precision integer per set — union/subset/difference as single
-``|``/``&~`` expressions, whole propagation steps memoized by interned
-id — beats per-block sparse-bitmap dict probes on Andersen's densely
-clustered location ids.
+family (``points_to/intset.py``) and LCD's batched loop it switches on.
+The representation bets that one arbitrary-precision integer per set —
+union/subset/difference as single ``|``/``&~`` expressions — beats
+per-block sparse-bitmap dict probes on Andersen's densely clustered
+location ids.
 
 The bet must pay at least **2x**: the headline ``lcd+hcd`` configuration
 on emacs/wine/linux, median of three fresh solves per family, wall-time
@@ -72,7 +71,7 @@ def test_intset_speedup(benchmark):
 
     table = Table(
         f"Extension — bignum intset vs bitmap wall time ({ALGORITHM})",
-        ["benchmark", "bitmap (s)", "int (s)", "speedup", "memo hits", "pts MB int/bitmap"],
+        ["benchmark", "bitmap (s)", "int (s)", "speedup", "pts MB int/bitmap"],
     )
     speedups = []
     for name, per_family in runs.items():
@@ -80,15 +79,12 @@ def test_intset_speedup(benchmark):
         int_solver, int_seconds = per_family["int"]
         speedup = bitmap_seconds / int_seconds if int_seconds > 0 else 0.0
         speedups.append(speedup)
-        intern = int_solver.stats.intern
-        memo_hits = intern.union_memo_hits + intern.add_memo_hits if intern else 0
         table.add_row(
             [
                 name,
                 f"{bitmap_seconds:.4f}",
                 f"{int_seconds:.4f}",
                 f"{speedup:.2f}x",
-                memo_hits,
                 f"{int_solver.stats.pts_memory_bytes / 2**20:.2f}/"
                 f"{bitmap_solver.stats.pts_memory_bytes / 2**20:.2f}",
             ]
@@ -106,7 +102,7 @@ def test_intset_speedup(benchmark):
             }
         )
     geo = geometric_mean(speedups)
-    table.add_row(["geo-mean", None, None, f"{geo:.2f}x", None, None])
+    table.add_row(["geo-mean", None, None, f"{geo:.2f}x", None])
     emit_table(table)
 
     summary = {

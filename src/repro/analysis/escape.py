@@ -15,16 +15,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.analysis.solution import PointsToSolution
+from repro.constraints.model import owner_of
 from repro.frontend.generator import GeneratedProgram
-
-
-def _owner_of(name: str) -> Optional[str]:
-    """Owning function of a qualified name (None for globals/heap)."""
-    if "::" in name:
-        return name.split("::", 1)[0]
-    if "$" in name:  # generator temporaries: "fn$tag@line"
-        return name.split("$", 1)[0]
-    return None
 
 
 class EscapeAnalysis:
@@ -45,7 +37,7 @@ class EscapeAnalysis:
         def owner(node: int) -> Optional[str]:
             cached = owner_cache.get(node)
             if node not in owner_cache:
-                cached = _owner_of(system.name_of(node))
+                cached = owner_of(system.name_of(node))
                 owner_cache[node] = cached
             return cached
 
@@ -85,7 +77,7 @@ class EscapeAnalysis:
         system = self.system
         holders: Dict[int, Set[Optional[str]]] = {}
         for holder in range(system.num_vars):
-            holder_owner = _owner_of(system.name_of(holder))
+            holder_owner = owner_of(system.name_of(holder))
             for loc in self.solution.points_to(holder):
                 holders.setdefault(loc, set()).add(holder_owner)
         result = []

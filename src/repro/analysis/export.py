@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintKind, ConstraintSystem
@@ -192,9 +192,3 @@ def constraint_graph_dot(
 
     lines.append("}")
     return "\n".join(lines)
-
-
-def write_dot(system: ConstraintSystem, stream: TextIO, **kwargs) -> None:
-    """Write :func:`constraint_graph_dot` output to a stream."""
-    stream.write(constraint_graph_dot(system, **kwargs))
-    stream.write("\n")

@@ -85,15 +85,6 @@ class BDDManager:
             raise ValueError(f"variable level {level} out of range")
         return self.mk(level, TRUE, FALSE)
 
-    def level_of(self, node: int) -> int:
-        return self._level[node]
-
-    def low_of(self, node: int) -> int:
-        return self._low[node]
-
-    def high_of(self, node: int) -> int:
-        return self._high[node]
-
     @property
     def node_count(self) -> int:
         """Total nodes ever allocated (terminals included) — the pool size."""

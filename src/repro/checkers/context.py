@@ -18,28 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.analysis.export import pointee_names
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import (
     Constraint,
     ConstraintKind,
     ConstraintSystem,
     Provenance,
+    owner_of,
 )
 from repro.frontend.generator import GeneratedProgram
-
-
-def owner_of(name: str) -> Optional[str]:
-    """Owning function of a qualified name (None for globals/heap).
-
-    Mirrors the front-end naming conventions: locals are ``"fn::var"``,
-    generator temporaries ``"fn$tag<N>@<line>"``.
-    """
-    if "::" in name:
-        return name.split("::", 1)[0]
-    if "$" in name:
-        return name.split("$", 1)[0]
-    return None
 
 
 def site_line_of(name: str) -> int:
@@ -259,14 +246,6 @@ class CheckContext:
             self._pts_cache[var] = cached
         return cached
 
-    def pts_names(self, var: int, limit: int = 3) -> str:
-        """Human-readable pointee list for messages, truncated."""
-        names = pointee_names(self.system.names, self.pts(var))
-        shown = ", ".join(names[:limit])
-        if len(names) > limit:
-            shown += f", ... ({len(names)} total)"
-        return shown
-
     def describe(self, node: int) -> str:
         """A message-friendly name: strips generator temporary noise."""
         name = self.system.name_of(node)
@@ -275,11 +254,3 @@ class CheckContext:
             return f"expression in {fn}() (temporary {tail})"
         return f"'{name}'"
 
-
-def constraints_by_line(system: ConstraintSystem) -> Dict[int, List[Constraint]]:
-    """Index a system's constraints by provenance line (diagnostic aid)."""
-    index: Dict[int, List[Constraint]] = {}
-    for constraint in system.constraints:
-        if constraint.prov is not None and constraint.prov.line > 0:
-            index.setdefault(constraint.prov.line, []).append(constraint)
-    return index

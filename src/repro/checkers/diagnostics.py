@@ -113,12 +113,6 @@ class CheckReport:
             result[diag.severity.label] = result.get(diag.severity.label, 0) + 1
         return result
 
-    def by_rule(self) -> Dict[str, int]:
-        result: Dict[str, int] = {}
-        for diag in self.diagnostics:
-            result[diag.rule] = result.get(diag.rule, 0) + 1
-        return result
-
     def to_text(self) -> str:
         """The full compiler-style listing plus a one-line summary."""
         lines = [diag.render() for diag in self.diagnostics]

@@ -14,9 +14,11 @@ solutions and statistics out.
     python -m repro reduce FILE --check certify|disagree [-o OUT.cons]
     python -m repro stats FILE
 
-``--pts``, ``--opt`` and ``--k-cs`` use ``None``-sentinel defaults so a
-``# repro-config:`` header written by ``repro reduce`` can replay the
-recorded failure configuration unless the user overrides it explicitly.
+The algorithm flags, ``--pts``, ``--opt`` and ``--k-cs`` use
+``None``-sentinel defaults so a ``# repro-config:`` header written by
+``repro reduce`` can replay the recorded failure configuration (with
+``--sanitize`` when it was recorded) unless the user overrides it
+explicitly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import argparse
 import contextlib
 import io
 import sys
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.export import PointeeRenderer
@@ -44,7 +46,7 @@ from repro.metrics.memory import to_megabytes
 from repro.metrics.reporting import Table, format_ctx_summary, format_opt_summary
 from repro.points_to.interface import FAMILY_KINDS
 from repro.preprocess.hvn import OPT_STAGES, preprocess_system
-from repro.solvers.registry import available_solvers, make_solver
+from repro.solvers.registry import all_solvers, available_solvers, make_solver
 from repro.verify.sanitizer import InvariantViolation
 from repro.workloads import BENCHMARK_ORDER, generate_workload
 
@@ -83,6 +85,18 @@ def _read_program(path: str, field_mode: str):
         return generate_constraints(text, field_mode=field_mode)
 
 
+#: Each solving command's algorithm flag (its ``args`` attribute, also
+#: the flag's name) and its built-in default.
+_ALGORITHM_FLAGS = {
+    "solve": ("algorithm", "lcd+hcd"),
+    "analyze": ("algorithm", "lcd+hcd"),
+    "reduce": ("algorithm", "lcd+hcd"),
+    "check": ("solver", "lcd+hcd"),
+    "verify": ("algorithms", "lcd+hcd"),
+    "compare": ("algorithms", "ht,pkh,lcd,hcd,lcd+hcd"),
+}
+
+
 def _resolve_replay_flags(
     args: argparse.Namespace,
     default_opt: str,
@@ -90,16 +104,40 @@ def _resolve_replay_flags(
     path: str = "",
     header_line: int = 0,
 ) -> None:
-    """Fill in the ``--pts`` / ``--opt`` / ``--k-cs`` sentinels on ``args``.
+    """Fill in the algorithm, ``--pts``, ``--opt`` and ``--k-cs``
+    sentinels on ``args``, and ``--sanitize`` when it is off.
 
     A value the user passed explicitly always wins; otherwise a repro
     header's recorded value is adopted (with a stderr note, so replays
     are never silent); otherwise the command's built-in default applies.
+    ``compare`` replays the recorded ``algorithm`` and then ``against``.
     A recorded value outside the flag's choices is an :class:`InputError`
     at ``path:header_line`` listing the valid values.
     """
     header = header or {}
     adopted = []
+
+    def recorded(key: str, noun: str, valid: Sequence[str]) -> str:
+        value = header[key]
+        if value not in valid:
+            raise InputError(
+                path,
+                f"repro header records unknown {noun} {value!r}; "
+                f"valid: {', '.join(valid)}",
+                line=header_line,
+            )
+        return value
+
+    attr, default = _ALGORITHM_FLAGS[args.command]
+    if getattr(args, attr) is None:
+        value = default
+        if "algorithm" in header:
+            solvers = all_solvers()
+            value = recorded("algorithm", "algorithm", solvers)
+            if args.command == "compare" and "against" in header:
+                value += "," + recorded("against", "algorithm", solvers)
+            adopted.append(f"--{attr} {value}")
+        setattr(args, attr, value)
     for flag, noun, valid, default, convert in (
         ("pts", "points-to family", FAMILY_KINDS, "bitmap", str),
         ("opt", "opt stage", OPT_STAGES, default_opt, str),
@@ -108,17 +146,15 @@ def _resolve_replay_flags(
         attr = flag.replace("-", "_")
         if getattr(args, attr) is not None:
             continue
-        value = header.get(flag, default)
+        value = default
         if flag in header:
-            if value not in valid:
-                raise InputError(
-                    path,
-                    f"repro header records unknown {noun} {value!r}; "
-                    f"valid: {', '.join(valid)}",
-                    line=header_line,
-                )
+            value = recorded(flag, noun, valid)
             adopted.append(f"--{flag} {value}")
         setattr(args, attr, convert(value))
+    if not args.sanitize and "sanitize" in header:
+        if recorded("sanitize", "sanitize value", ["0", "1"]) == "1":
+            args.sanitize = True
+            adopted.append("--sanitize")
     if adopted:
         print(
             f"replaying {' '.join(adopted)} from the repro-config header"
@@ -316,9 +352,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     system, header, header_line = _read_system_and_header(args.file)
     _resolve_replay_flags(args, "hu", header, args.file, header_line)
-    algorithms = args.algorithms.split(",") if args.algorithms else [
-        "ht", "pkh", "lcd", "hcd", "lcd+hcd",
-    ]
+    algorithms = args.algorithms.split(",")
     table = Table(
         f"comparison on {args.file}",
         ["algorithm", "time (s)", "propagations", "searched",
@@ -430,14 +464,21 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         )
     else:
         predicate = solvers_disagree(
-            args.algorithm, args.against, pts_a=args.pts, pts_b=args.pts,
+            args.algorithm, args.against, pts=args.pts, sanitize=args.sanitize,
             opt=args.opt, k_cs=args.k_cs,
         )
     result = minimize_system(system, predicate)
     config = {"check": args.check, "algorithm": args.algorithm}
     if args.check == "disagree":
         config["against"] = args.against
-    config.update({"pts": args.pts, "opt": args.opt, "k-cs": args.k_cs})
+    config.update(
+        {
+            "pts": args.pts,
+            "opt": args.opt,
+            "k-cs": args.k_cs,
+            "sanitize": int(args.sanitize),
+        }
+    )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             result.write(handle, config=config)
@@ -507,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             choices=list(FAMILY_KINDS) + (["all"] if pts_all else []),
             help="points-to representation (default bitmap): GCC-style "
-            "sparse bitmaps, per-variable BDDs, or interned bignum intsets "
+            "sparse bitmaps, per-variable BDDs, or bignum intsets "
             "(word-parallel set operations)"
             + ("; 'all' runs every family" if pts_all else ""),
         )
@@ -539,16 +580,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--sanitize", action="store_true",
             help="install solver invariant checks (collapse consistency, "
-            "monotone growth, LCD/intern invariants); a violation aborts "
+            "monotone growth, LCD trigger discipline); a violation aborts "
             "with exit status 2, and under reduce --check certify it "
             "counts as the failure being minimized",
         )
 
-    algorithm_help = f"one of: {', '.join(available_solvers())}"
+    algorithm_help = f"one of: {', '.join(available_solvers())} (default lcd+hcd)"
 
     p_solve = sub.add_parser("solve", help="solve a constraint file")
     p_solve.add_argument("file")
-    p_solve.add_argument("--algorithm", default="lcd+hcd", help=algorithm_help)
+    p_solve.add_argument("--algorithm", help=algorithm_help)
     add_pipeline_flags(p_solve)
     p_solve.add_argument("--all", action="store_true", help="print empty sets too")
     p_solve.add_argument("--stats", action="store_true", help="print solver counters")
@@ -564,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="analyze a C-subset source file")
     p_analyze.add_argument("file")
-    p_analyze.add_argument("--algorithm", default="lcd+hcd", help=algorithm_help)
+    p_analyze.add_argument("--algorithm", help=algorithm_help)
     add_pipeline_flags(p_analyze)
     p_analyze.add_argument("--query", nargs="*", help="variable names to report")
     p_analyze.add_argument("--callgraph", action="store_true")
@@ -584,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file", help="a .c source file or a .cons constraint file")
     p_check.add_argument(
         "--solver",
-        default="lcd+hcd",
         help=f"points-to algorithm to check against; {algorithm_help}",
     )
     add_pipeline_flags(p_check)
@@ -635,7 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="run several algorithms on one file")
     p_compare.add_argument("file")
-    p_compare.add_argument("--algorithms", help="comma-separated solver names")
+    p_compare.add_argument(
+        "--algorithms",
+        help="comma-separated solver names (default ht,pkh,lcd,hcd,lcd+hcd)",
+    )
     add_pipeline_flags(p_compare)
     p_compare.set_defaults(func=_cmd_compare)
 
@@ -646,9 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("file")
     p_verify.add_argument(
         "--algorithms",
-        default="lcd+hcd",
-        help="comma-separated solver names, or 'all' for every "
-        "inclusion-based configuration",
+        help="comma-separated solver names (default lcd+hcd), or 'all' "
+        "for every inclusion-based configuration",
     )
     add_pipeline_flags(p_verify, pts_all=True)
     p_verify.set_defaults(func=_cmd_verify)
@@ -665,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="failure predicate: the certifier rejects --algorithm's "
         "solution, or --algorithm disagrees with --against",
     )
-    p_reduce.add_argument("--algorithm", default="lcd+hcd", help=algorithm_help)
+    p_reduce.add_argument("--algorithm", help=algorithm_help)
     p_reduce.add_argument(
         "--against",
         default="naive",

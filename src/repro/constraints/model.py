@@ -270,9 +270,6 @@ class ConstraintSystem:
     def object_blocks(self) -> Dict[int, "ObjectBlock"]:
         return dict(self._object_blocks)
 
-    def function_at(self, node: int) -> Optional[FunctionInfo]:
-        return self._functions.get(node)
-
     def by_kind(self, kind: ConstraintKind) -> Iterator[Constraint]:
         return (c for c in self._constraints if c.kind is kind)
 
@@ -336,3 +333,17 @@ class ConstraintSystem:
         return ConstraintSystem(
             self._names, constraints, self._functions, self._object_blocks
         )
+
+
+def owner_of(name: str) -> Optional[str]:
+    """Owning function of a front-end variable name, or ``None`` for
+    globals, heap sites and other unowned names.
+
+    Locals are named ``fn::var`` and temporaries ``fn$tag<N>@<line>``
+    (``<global>$tag<N>@<line>`` at file scope).
+    """
+    if "::" in name:
+        return name.split("::", 1)[0]
+    if "$" in name:
+        return name.split("$", 1)[0] or None
+    return None

@@ -27,12 +27,13 @@ annotations parse exactly as before (``prov`` stays ``None``).
 
 A file may additionally open with a *repro-config header* comment::
 
-    # repro-config: check=certify algorithm=lcd+hcd opt=hu k-cs=1 ...
+    # repro-config: check=certify algorithm=lcd+hcd pts=int opt=hu k-cs=1 sanitize=1
 
 written by ``repro reduce`` so a minimized repro records the exact
 configuration that failed.  Being a comment, the header is invisible to
 :func:`read_constraints`; :func:`parse_repro_header` recovers it and the
-CLI replays the recorded ``--opt`` / ``--k-cs`` flags.
+CLI replays the recorded algorithm(s), ``--pts``, ``--opt``, ``--k-cs``
+and ``--sanitize``.
 """
 
 from __future__ import annotations

@@ -97,6 +97,7 @@ from repro.constraints.model import (
     ConstraintKind,
     ConstraintSystem,
     Provenance,
+    owner_of,
 )
 from repro.contexts.callstring import (
     EMPTY,
@@ -104,19 +105,6 @@ from repro.contexts.callstring import (
     extend_call_string,
     format_call_string,
 )
-
-
-def _owner_of(name: str) -> Optional[str]:
-    """Owning function of a qualified name (None for globals/heap).
-
-    Duplicates :func:`repro.checkers.context.owner_of` — the checkers
-    import the solver stack, so importing them here would be a cycle.
-    """
-    if "::" in name:
-        return name.split("::", 1)[0]
-    if "$" in name:
-        return name.split("$", 1)[0]
-    return None
 
 
 #: Provenance carried by the synthesized ε-fallback inheritance edges.
@@ -298,7 +286,7 @@ def _expand(
     for var in range(num_vars):
         if var in member_owner or var in obj_member or var in address_taken:
             continue
-        owner_name = _owner_of(names[var])
+        owner_name = owner_of(names[var])
         owner = fn_by_name.get(owner_name) if owner_name is not None else None
         if owner is not None:
             local_owner[var] = owner

@@ -22,18 +22,7 @@ from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.solution import PointsToSolution
-from repro.constraints.model import ConstraintKind, ConstraintSystem
-
-
-def owner_name(name: str) -> Optional[str]:
-    """Owning function encoded in a qualified name (front-end naming:
-    locals are ``fn::var``, temporaries ``fn$tag<N>@<line>``)."""
-    if "::" in name:
-        return name.split("::", 1)[0]
-    if "$" in name:
-        head = name.split("$", 1)[0]
-        return head or None
-    return None
+from repro.constraints.model import ConstraintKind, ConstraintSystem, owner_of
 
 
 class FunctionGraph:
@@ -76,7 +65,7 @@ class FunctionGraph:
         return self._fn_by_name.get("main")
 
     def _owner_function(self, node: int) -> Optional[int]:
-        owner = owner_name(self.system.name_of(node))
+        owner = owner_of(self.system.name_of(node))
         if owner is None:
             return None
         return self._fn_by_name.get(owner)

@@ -32,10 +32,10 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.alias import AliasAnalysis
 from repro.analysis.mod_ref import ModRefAnalysis
 from repro.analysis.solution import PointsToSolution
-from repro.constraints.model import ConstraintKind, ConstraintSystem
+from repro.constraints.model import ConstraintKind, ConstraintSystem, owner_of
 from repro.dataflow.engine import IntersectDataflow
 from repro.dataflow.events import LockOp, ThreadSpawn
-from repro.dataflow.interproc import FunctionGraph, owner_name
+from repro.dataflow.interproc import FunctionGraph
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def shared_locations(
             continue
         if name.startswith(("str@", "<", "tmp")):
             continue
-        if owner_name(name) is None or node in escaped:
+        if owner_of(name) is None or node in escaped:
             shared.add(node)
     return shared
 

@@ -39,20 +39,6 @@ def bits_from_iter(locs: Iterable[int]) -> int:
     return bits
 
 
-def bits_from_sparse_bitmap(bitmap) -> int:
-    """Word-parallel promotion of a :class:`SparseBitmap` to a bignum.
-
-    Each materialized block is shifted into place whole — no per-element
-    decoding — which is the ``bitmap -> intset`` backing-switch path.
-    """
-    from repro.datastructs.sparse_bitmap import BITS_PER_BLOCK
-
-    bits = 0
-    for block_index, word in bitmap._blocks.items():
-        bits |= word << (block_index * BITS_PER_BLOCK)
-    return bits
-
-
 def iter_bits(bits: int) -> Iterator[int]:
     """Yield the set bit positions of ``bits``, ascending."""
     while bits:

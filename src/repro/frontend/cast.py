@@ -34,10 +34,6 @@ class CType:
             return self
         return CType(self.base, self.pointer_depth - 1, self.is_array, self.is_function)
 
-    @property
-    def is_pointer_like(self) -> bool:
-        return self.pointer_depth > 0 or self.is_array or self.is_function
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.base + "*" * self.pointer_depth + ("[]" if self.is_array else "")
 

@@ -414,7 +414,14 @@ class Parser:
         if token.kind is TokenKind.INT:
             self._advance()
             text = token.text.rstrip("uUlL")
-            value = int(text, 16) if text.lower().startswith("0x") else int(text, 10 if not text.startswith("0") or text == "0" else 8)
+            octal = text.startswith("0") and text != "0"
+            base = 16 if text.lower().startswith("0x") else 8 if octal else 10
+            try:
+                value = int(text, base)
+            except ValueError:
+                # The lexer takes any digits and suffix letters: "4f",
+                # "08" and "0x" reach here as INT tokens.
+                raise ParseError("malformed integer literal", token) from None
             return ast.IntLiteral(line=token.line, value=value)
         if token.kind is TokenKind.FLOAT:
             self._advance()

@@ -142,22 +142,6 @@ class ConstraintGraph:
         """Number of stored (possibly stale) edges across representatives."""
         return sum(len(self.succ[node]) for node in self.rep_nodes())
 
-    def live_node_count(self) -> int:
-        """Distinct representatives the constraints actually mention —
-        the node count the offline pipeline (``--opt``) is shrinking.
-        After ``--opt ovs|hu`` ``num_vars`` is close to it: the stage
-        renumbers onto the mentioned ids plus the blocks holding them."""
-        find = self.uf.find
-        live = set()
-        for constraint in self.system.constraints:
-            live.add(find(constraint.dst))
-            live.add(find(constraint.src))
-        return len(live)
-
-    # ------------------------------------------------------------------
-    # Points-to
-    # ------------------------------------------------------------------
-
     def pts_of(self, node: int) -> PointsToSet:
         return self.pts[self.uf.find(node)]
 

@@ -23,10 +23,6 @@ Successors = Callable[[int], Iterable[int]]
 Predecessors = Callable[[int], Iterable[int]]
 
 
-class CycleFound(Exception):
-    """Raised internally when the forward search reaches the edge source."""
-
-
 class DynamicTopologicalOrder:
     """Maintains a priority per node that is topological w.r.t. edges.
 

@@ -9,9 +9,9 @@ actually turns on:
   plus constraint-graph successor sets (Section 5.4: "the majority of
   this memory usage comes from the bit-map representation of points-to
   sets");
-- **bignum intsets** — each distinct live backing int counted once no
-  matter how many variables hold that value, plus the intern table's
-  bookkeeping (the same counted-once discipline as the BDD manager);
+- **bignum intsets** — each distinct live backing int object counted
+  once however many variables share it (the same counted-once
+  discipline as the BDD manager);
 - **BDD representations** — the shared node pool (BuDDy's
   benchmark-independent allocation; Section 5.2 notes BLQ's near-constant
   footprint).

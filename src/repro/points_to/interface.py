@@ -50,9 +50,9 @@ class PointsToFamily:
     #: Short name used by the solver registry and the benchmarks.
     name: str = "abstract"
 
-    #: True when every set is one canonical bignum (the ``int`` family):
-    #: LCD then runs its batched-trigger loop, and solution export
-    #: dedups by the shared bignum object instead of the set handle.
+    #: True when every set is one bignum (the ``int`` family): LCD then
+    #: runs its batched-trigger loop, and solution export dedups sets by
+    #: value instead of by handle.
     fused_kernel: bool = False
 
     def make(self) -> PointsToSet:
@@ -78,12 +78,7 @@ class PointsToFamily:
         return out
 
     def make_from(self, locs: Iterable[int]) -> PointsToSet:
-        """A set holding exactly ``locs``.
-
-        Families with canonicalization overhead per mutation override
-        this to build the value in one step instead of one ``add`` per
-        location.
-        """
+        """A set holding exactly ``locs``."""
         made = self.make()
         for loc in locs:
             made.add(loc)
@@ -92,10 +87,6 @@ class PointsToFamily:
     def memory_bytes(self) -> int:
         """Total bytes attributable to the sets created by this family."""
         raise NotImplementedError
-
-    def intern_stats(self):
-        """Intern-table counters (``int`` family only), else ``None``."""
-        return None
 
 
 #: Registered representation names, in the benchmarks' comparison order.

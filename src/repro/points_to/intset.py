@@ -2,95 +2,69 @@
 
 The third representation, and the one the certifier already proved out
 (``verify/certifier.py`` re-derives the least model with plain ints at a
-fraction of solve cost).  Every set is a thin handle onto a canonical
-arbitrary-precision integer interned in the family's
-:class:`~repro.datastructs.intern_table.IntInternTable`:
+fraction of solve cost).  Every set is a thin handle onto one immutable
+arbitrary-precision integer:
 
 - union/subset/difference/intersection are single word-parallel bignum
   expressions (``|``, ``&~``, ``&``) executed in C, not per-block dict
   probes;
-- interning gives equal values one int object and a monotone id, so
-  ``same_as`` — the Lazy Cycle Detection trigger — hits a pointer
-  comparison first, and the table's union/add memos turn repeated
-  propagation steps into dict hits (the MDE operation-dedup direction);
-- ``copy`` is free: the handle shares the immutable canonical int until
-  a mutation re-points it.
+- ``copy`` is free: the handle shares the immutable int until a
+  mutation re-points it;
+- sharing needs no table: when a union leaves a set equal to its source
+  operand, the set adopts the source's int object, so a converged copy
+  chain holds one value, and ``same_as`` on two handles sharing it — the
+  Lazy Cycle Detection trigger — is decided by CPython's identity check
+  before any digit comparison.
 
 Memory accounting is liveness-based and value-deduplicated: the family
 weakly tracks every live handle and charges each distinct backing int
-once (by object identity — canonicalization makes equal values the same
-object), plus the table's bookkeeping.  That keeps the books consistent
-across backing switches: when a handle's value is re-interned after an
-eviction, or a :class:`SparseBitmap` is promoted word-parallel via
-:func:`~repro.datastructs.intset.bits_from_sparse_bitmap`, the next
-accounting pass simply sums what is live — nothing is double- or
-stale-counted.
+object once, so dead intermediates are never charged and a value shared
+by adoption costs one bignum however many variables hold it.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterator
 
-from repro.datastructs.intern_table import (
-    DEFAULT_MEMO_CAPACITY,
-    InternStats,
-    IntInternTable,
-)
-from repro.datastructs.intset import (
-    IntBitSet,
-    bits_from_iter,
-    int_memory_bytes,
-    iter_bits,
-)
+from repro.datastructs.intset import IntBitSet, int_memory_bytes, iter_bits
 from repro.points_to.interface import PointsToFamily
 
 
 class IntPointsToSet:
-    """A points-to set handle onto one canonical interned bignum."""
+    """A points-to set handle onto one immutable bignum."""
 
-    __slots__ = ("bits", "node_id", "_table", "__weakref__")
+    __slots__ = ("bits", "__weakref__")
 
-    def __init__(self, table: IntInternTable, bits: int, node_id: int) -> None:
-        self._table = table
+    def __init__(self, bits: int = 0) -> None:
         self.bits = bits
-        self.node_id = node_id
 
     def add(self, loc: int) -> bool:
-        bits, node_id = self._table.with_added(self.bits, self.node_id, loc)
-        if node_id == self.node_id:
+        mask = 1 << loc
+        if self.bits & mask:
             return False
-        self.bits = bits
-        self.node_id = node_id
+        self.bits |= mask
         return True
 
     def ior_and_test(self, other: "IntPointsToSet") -> bool:
-        if other.node_id == self.node_id:
-            # Same interned value: the union is a no-op.
+        bits = self.bits
+        source = other.bits
+        merged = bits | source
+        if merged == bits:
             return False
-        bits, node_id = self._table.union(
-            self.bits, self.node_id, other.bits, other.node_id
-        )
-        if node_id == self.node_id:
-            return False
-        self.bits = bits
-        self.node_id = node_id
+        # A union equal to the source adopts the source's object, so
+        # converged copy chains share one value.
+        self.bits = source if merged == source else merged
         return True
 
     def contains(self, loc: int) -> bool:
         return bool((self.bits >> loc) & 1)
 
     def same_as(self, other: "IntPointsToSet") -> bool:
-        # Canonical values alias one object; `is` catches the common case
-        # before any digit comparison.  ids may differ for equal values
-        # only after a table eviction, so fall through to value equality.
-        return self.bits is other.bits or self.bits == other.bits
+        return self.bits == other.bits
 
     def copy(self) -> "IntPointsToSet":
-        return self._table_family_copy()
-
-    def _table_family_copy(self) -> "IntPointsToSet":
-        return IntPointsToSet(self._table, self.bits, self.node_id)
+        return IntPointsToSet(self.bits)
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.bits)
@@ -99,20 +73,17 @@ class IntPointsToSet:
         return self.bits.bit_count()
 
     def __repr__(self) -> str:
-        return f"IntPointsToSet(id={self.node_id}, {sorted(self)!r})"
+        return f"IntPointsToSet({sorted(self)!r})"
 
 
 class IntPointsToFamily(PointsToFamily):
-    """One int intern table shared by every set of a solver run."""
+    """Bignum sets plus the live-handle registry memory accounting reads."""
 
     name = "int"
     #: Selects LCD's batched-trigger loop (see ``LCDSolver._run_fused``).
     fused_kernel = True
 
-    def __init__(self, memo_capacity: int = DEFAULT_MEMO_CAPACITY) -> None:
-        self.table = IntInternTable(memo_capacity=memo_capacity)
-        #: Handles ever created — the numerator of the dedup ratio.
-        self.sets_made = 0
+    def __init__(self) -> None:
         #: Live handles, tracked weakly for value-deduplicated accounting.
         self._live: "weakref.WeakSet[IntPointsToSet]" = weakref.WeakSet()
 
@@ -121,19 +92,7 @@ class IntPointsToFamily(PointsToFamily):
     # ------------------------------------------------------------------
 
     def make(self) -> IntPointsToSet:
-        self.sets_made += 1
-        made = IntPointsToSet(self.table, 0, self.table.empty_id)
-        self._live.add(made)
-        return made
-
-    def make_from(self, locs: Iterable[int]) -> IntPointsToSet:
-        return self.make_from_bits(bits_from_iter(locs))
-
-    def make_from_bits(self, bits: int) -> IntPointsToSet:
-        """A set born whole from a raw bignum."""
-        self.sets_made += 1
-        canon, node_id = self.table.intern(bits)
-        made = IntPointsToSet(self.table, canon, node_id)
+        made = IntPointsToSet()
         self._live.add(made)
         return made
 
@@ -151,20 +110,15 @@ class IntPointsToFamily(PointsToFamily):
     # ------------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Bytes of distinct live backing values plus table bookkeeping.
+        """Bytes of the distinct live backing ints.
 
-        Dedup is by backing-object identity: canonicalization aliases
-        equal values to one int, so a thousand handles on one value cost
-        one bignum.  Summing over *live* handles (not table entries)
-        keeps the count consistent through backing switches — evicted
-        table entries whose value is still referenced stay counted, and
+        Dedup is by backing-object identity, so a thousand handles that
+        share one int by copy or adoption cost one bignum.  Summing over
+        *live* handles keeps the count consistent as sets re-point:
         dead intermediates are never charged.
         """
         seen: Dict[int, int] = {}
         for handle in self._live:
             bits = handle.bits
             seen.setdefault(id(bits), int_memory_bytes(bits))
-        return sum(seen.values()) + self.table.table_overhead_bytes()
-
-    def intern_stats(self) -> Optional[InternStats]:
-        return self.table.stats_snapshot()
+        return sum(seen.values())

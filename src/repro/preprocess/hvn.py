@@ -48,10 +48,10 @@ Each round is plain, independently-sound HU on the current system,
 so soundness composes by induction; rounds after the first run on a
 system ~10x smaller, so the fixpoint costs little more than one pass.
 
-Label sets are Python bignums (one bit per label), in the spirit of the
-``int`` points-to family: unions are single ``|`` expressions and
-interning is one dict probe, which keeps the offline passes cheap enough
-that HU pays for itself even on small inputs.
+Label sets are Python bignums (one bit per label), like the ``int``
+points-to family's sets: unions are single ``|`` expressions and
+interning a label set is one dict probe, which keeps the offline passes
+cheap enough that HU pays for itself even on small inputs.
 
 Everything is exposed as a composable pipeline stage: see
 :func:`preprocess_system` and :data:`OPT_STAGES` for the

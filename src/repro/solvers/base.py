@@ -19,7 +19,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintSystem
 from repro.contexts.manager import ContextExpansion, CtxStats, expand_contexts
-from repro.datastructs.intern_table import InternStats
 from repro.datastructs.sparse_bitmap import SparseBitmap
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.points_to.interface import PointsToFamily, make_family
@@ -75,8 +74,6 @@ class SolverStats:
     solve_seconds: float = 0.0
     pts_memory_bytes: int = 0
     graph_memory_bytes: int = 0
-    #: Filled in by runs using the interned ``int`` points-to family.
-    intern: Optional[InternStats] = None
     #: Filled in by runs with the invariant sanitizer installed.
     verify: Optional[VerifyStats] = None
     #: Filled in by runs with an offline optimization stage (--opt).
@@ -103,9 +100,6 @@ class SolverStats:
             "pts_memory_bytes": self.pts_memory_bytes,
             "graph_memory_bytes": self.graph_memory_bytes,
         }
-        if self.intern is not None:
-            for key, value in self.intern.as_dict().items():
-                data[f"intern_{key}"] = value
         if self.verify is not None:
             for key, value in self.verify.as_dict().items():
                 data[f"verify_{key}"] = value
@@ -458,16 +452,16 @@ class GraphSolver(BaseSolver):
         graph = self.graph
         num_vars = self.system.num_vars
         # Collapsed variables share their representative's set object, and
-        # the int family's canonical bignums share one object per value:
-        # decode each distinct set once and give every variable holding
-        # it the same frozenset, so the solution, its expansion and the
-        # output renderers all see the sharing.
+        # int sets are keyed by value: decode each distinct set once and
+        # give every variable holding it the same frozenset, so the
+        # solution, its expansion and the output renderers all see the
+        # sharing.
         fused = self.family.fused_kernel
         decoded: Dict[int, FrozenSet[int]] = {}
         mapping: Dict[int, FrozenSet[int]] = {}
         for var in range(num_vars):
             pts = graph.pts_of(var)
-            key = id(pts.bits) if fused else id(pts)
+            key = pts.bits if fused else id(pts)
             locs = decoded.get(key)
             if locs is None:
                 # Most variables of a reduced system point nowhere: one
@@ -481,4 +475,3 @@ class GraphSolver(BaseSolver):
     def _account_memory(self) -> None:
         self.stats.pts_memory_bytes = self.family.memory_bytes()
         self.stats.graph_memory_bytes = self.graph.graph_memory_bytes()
-        self.stats.intern = self.family.intern_stats()

@@ -294,4 +294,3 @@ class HTSolver(BaseSolver):
             for node in range(self.system.num_vars)
             if self.uf.find(node) == node
         )
-        self.stats.intern = self.family.intern_stats()

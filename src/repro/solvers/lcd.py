@@ -94,11 +94,11 @@ class LCDSolver(GraphSolver):
     def _run_fused(self, worklist, attempted: Set[Tuple[int, int]]) -> None:
         """The Figure 2 loop for the ``int`` family, the one solver path
         kept per family: union-find and points-to lists hoisted into
-        locals, the trigger's set equality downgraded to a canonical-object
-        comparison, edge unions memoized by id through the intern table,
-        and a sweep's triggers batched into one search.  The batching
-        carries most of int's speedup over bitmap under LCD; it also
-        changes the search counters, so int under LCD reports its own."""
+        locals, the trigger's set equality and each edge union done as
+        single bignum expressions, and a sweep's triggers batched into
+        one search.  The batching carries most of int's speedup over
+        bitmap under LCD; it also changes the search counters, so int
+        under LCD reports its own."""
         graph = self.graph
         uf_find = graph.uf.find
         #: Direct parent-array fast path: nodes that are their own parent
@@ -108,7 +108,6 @@ class LCDSolver(GraphSolver):
         pts_list = graph.pts
         stats = self.stats
         push = worklist.push
-        union = self.family.table.union
 
         while worklist:
             node = uf_find(worklist.pop())
@@ -137,7 +136,8 @@ class LCDSolver(GraphSolver):
                 if succ == rep:
                     continue
                 pts_succ = pts_list[succ]
-                if pts_succ.bits == pts_rep_bits and pts_rep_bits:
+                succ_bits = pts_succ.bits
+                if succ_bits == pts_rep_bits and pts_rep_bits:
                     edge = (rep, succ)
                     if edge not in attempted:
                         if self.once_per_edge:
@@ -148,13 +148,13 @@ class LCDSolver(GraphSolver):
                         trigger_roots.append(succ)
                     continue  # equal sets: the union below is a no-op
                 stats.propagations += 1
-                target_id = pts_succ.node_id
-                merged_bits, merged_id = union(
-                    pts_succ.bits, target_id, pts_rep_bits, pts_rep.node_id
-                )
-                if merged_id != target_id:
-                    pts_succ.bits = merged_bits
-                    pts_succ.node_id = merged_id
+                merged = succ_bits | pts_rep_bits
+                if merged != succ_bits:
+                    # A union equal to the source adopts its object, as
+                    # IntPointsToSet.ior_and_test does.
+                    pts_succ.bits = (
+                        pts_rep_bits if merged == pts_rep_bits else merged
+                    )
                     push(succ)
             if trigger_roots:
                 self._detect_and_collapse(trigger_roots, push)

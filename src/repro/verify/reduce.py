@@ -55,7 +55,7 @@ class MinimizationResult:
         ``config``, when given, is recorded as a leading ``# repro-config:``
         header comment (see :func:`repro.constraints.parser
         .parse_repro_header`) so the repro remembers the exact failure
-        configuration — the CLI replays ``opt``/``k-cs`` from it.
+        configuration — the CLI replays every recorded flag from it.
         """
         if config:
             stream.write(format_repro_header(config) + "\n")
@@ -217,21 +217,31 @@ def certifier_rejects(
 def solvers_disagree(
     algorithm_a: str,
     algorithm_b: str,
-    pts_a: str = "bitmap",
-    pts_b: str = "bitmap",
+    pts: str = "bitmap",
+    sanitize: bool = False,
     opt: str = "none",
     k_cs: int = 0,
 ) -> Predicate:
-    """Predicate: two solver configurations produce different solutions.
+    """Predicate: two solvers produce different solutions (or the
+    sanitizer aborts either run with an :class:`InvariantViolation`).
 
     Solutions are compared in the base variable space (k-CFA runs project
     back before returning), so any ``k_cs`` composes with any pair.
     """
     from repro.solvers.registry import solve
+    from repro.verify.sanitizer import InvariantViolation
+
+    def run(system: ConstraintSystem, algorithm: str):
+        return solve(
+            system, algorithm, pts=pts, sanitize=sanitize, opt=opt, k_cs=k_cs,
+        )
 
     def predicate(system: ConstraintSystem) -> bool:
-        first = solve(system, algorithm_a, pts=pts_a, opt=opt, k_cs=k_cs)
-        second = solve(system, algorithm_b, pts=pts_b, opt=opt, k_cs=k_cs)
+        try:
+            first = run(system, algorithm_a)
+            second = run(system, algorithm_b)
+        except InvariantViolation:
+            return True
         return first != second
 
     return predicate

@@ -14,12 +14,7 @@ collapse/propagate boundaries:
   set was replaced, not unioned);
 - **LCD trigger discipline** — the same edge never re-triggers a lazy
   cycle search (the paper's once-per-edge refinement, which bounds
-  LCD's overhead);
-- **intern canonicity** — for the ``int`` points-to family, every live
-  canonical bignum still equals its interning key, no two live values
-  share an id, and every memoized result carries the id the table
-  assigns its value (a corrupted canonical entry silently corrupts
-  *every* variable sharing it).
+  LCD's overhead).
 
 Each failure raises :class:`InvariantViolation` carrying the solver
 name, the invariant, and the relevant state context — the input that
@@ -65,7 +60,6 @@ class VerifyStats:
     collapse_checks: int = 0
     monotone_checks: int = 0
     lcd_checks: int = 0
-    intern_checks: int = 0
     final_checks: int = 0
 
     @property
@@ -74,7 +68,6 @@ class VerifyStats:
             self.collapse_checks
             + self.monotone_checks
             + self.lcd_checks
-            + self.intern_checks
             + self.final_checks
         )
 
@@ -83,7 +76,6 @@ class VerifyStats:
             "collapse_checks": self.collapse_checks,
             "monotone_checks": self.monotone_checks,
             "lcd_checks": self.lcd_checks,
-            "intern_checks": self.intern_checks,
             "final_checks": self.final_checks,
             "invariant_checks": self.invariant_checks,
         }
@@ -205,63 +197,12 @@ class Sanitizer:
         self._lcd_triggered.add(edge)
 
     # ------------------------------------------------------------------
-    # Intern-table canonicity (int family)
-    # ------------------------------------------------------------------
-
-    def check_intern(self) -> None:
-        """Scan the family's intern table, if it has one."""
-        family = getattr(self.solver, "family", None)
-        table = getattr(family, "table", None)
-        if table is None:
-            return
-        self.stats.intern_checks += 1
-        self._check_int_intern(table)
-
-    def _check_int_intern(self, table) -> None:
-        """Canonicity for the ``int`` family's bignum intern table.
-
-        Content uniqueness is structural (the table is keyed by value),
-        so the live invariants are: every canonical object still equals
-        its key, ids are never shared between distinct values, and every
-        memoized result resolves to the same id the canonical table
-        would assign its value.
-        """
-        ids_seen: Dict[int, int] = {}
-        for value, (canon, node_id) in list(table._by_value.items()):
-            if canon != value:
-                self._fail(
-                    "intern-canonicity",
-                    "canonical bignum no longer equals its interning key",
-                    node_id=node_id,
-                    key_bits=value.bit_count(),
-                    actual_bits=canon.bit_count(),
-                )
-            previous = ids_seen.get(node_id)
-            if previous is not None:
-                self._fail(
-                    "intern-uniqueness",
-                    "two live canonical bignums share one id",
-                    node_id=node_id,
-                )
-            ids_seen[node_id] = node_id
-        for memo in (table._union_memo, table._add_memo):
-            for bits, node_id in list(memo.values()):
-                entry = table._by_value.get(bits)
-                if entry is not None and entry[1] != node_id:
-                    self._fail(
-                        "intern-canonicity",
-                        "memoized result disagrees with the canonical table",
-                        node_id=node_id,
-                        canonical_id=entry[1],
-                    )
-
-    # ------------------------------------------------------------------
     # End of run
     # ------------------------------------------------------------------
 
     def final_check(self) -> None:
-        """Whole-state sweep after the fixpoint: union-find idempotence,
-        released loser shells, intern canonicity."""
+        """Whole-state sweep after the fixpoint: union-find idempotence
+        and released loser shells."""
         self.stats.final_checks += 1
         graph = getattr(self.solver, "graph", None)
         if graph is not None:
@@ -281,4 +222,3 @@ class Sanitizer:
                         loser=node,
                         rep=rep,
                     )
-        self.check_intern()

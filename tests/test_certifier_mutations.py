@@ -2,7 +2,7 @@
 
 Each mutant below plants a realistic implementation bug in a solver —
 a dropped rule, a broken collapse, a set replaced instead of unioned, a
-corrupted intern table.  The verification layer must catch every one:
+re-triggered lazy search.  The verification layer must catch every one:
 wrong *solutions* by the certifier (soundness or precision, as
 appropriate), wrong *intermediate state* by the sanitizer's
 InvariantViolation with the expected invariant name.  A mutant that
@@ -227,18 +227,6 @@ class ShrinkingSolver(NaiveSolver):
             self._shrunk = True
 
 
-class InternCorruptingSolver(LCDSolver):
-    """Bug: an int-family canonical entry no longer equals its key."""
-
-    def _run(self):
-        solution = super()._run()
-        by_value = self.family.table._by_value
-        value = next(v for v in by_value if v)
-        canon, node_id = by_value[value]
-        by_value[value] = (canon | 1 << (self.system.num_vars + 17), node_id)
-        return solution
-
-
 class TestSanitizerCatchesMutants:
     def test_stale_loser_state_after_collapse(self, cycle_system):
         solver = make_solver(cycle_system, "lcd", sanitize=True)
@@ -293,11 +281,3 @@ class TestSanitizerCatchesMutants:
         with pytest.raises(InvariantViolation) as exc:
             mutant.solve()
         assert exc.value.invariant == "lcd-retrigger"
-
-    def test_intern_corruption_detected(self, simple_system):
-        mutant = InternCorruptingSolver(
-            simple_system, pts="int", sanitize=True
-        )
-        with pytest.raises(InvariantViolation) as exc:
-            mutant.solve()
-        assert exc.value.invariant == "intern-canonicity"

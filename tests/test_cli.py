@@ -196,7 +196,8 @@ class TestParser:
 
 
 class TestReplayHeader:
-    """``repro reduce`` records ``pts=`` in its header; replay adopts it."""
+    """``repro reduce`` records its whole configuration in the header;
+    every command replays what applies to it."""
 
     @pytest.fixture
     def int_repro(self, tmp_path, simple_system):
@@ -216,8 +217,8 @@ class TestReplayHeader:
         assert code == 0
         assert self._families(out) == {"int"}
         assert err == (
-            "replaying --pts int --opt hu --k-cs 0 from the repro-config "
-            f"header of {int_repro}\n"
+            "replaying --algorithms lcd+hcd --pts int --opt hu --k-cs 0 from "
+            f"the repro-config header of {int_repro}\n"
         )
 
     def test_explicit_pts_overrides_header(self, int_repro, capsys):
@@ -225,6 +226,75 @@ class TestReplayHeader:
         assert code == 0
         assert self._families(out) == {"bitmap"}
         assert "--pts" not in err
+
+    @pytest.fixture
+    def disagree_repro(self, tmp_path, simple_system, capsys):
+        """A repro of steensgaard disagreeing with naive, reduced with
+        the sanitizer armed."""
+        source = tmp_path / "system.cons"
+        source.write_text(dumps_constraints(simple_system))
+        path = tmp_path / "repro.cons"
+        code, _, _ = run_cli(
+            ["reduce", str(source), "--check", "disagree", "--algorithm",
+             "steensgaard", "--against", "naive", "--sanitize", "-o", str(path)],
+            capsys,
+        )
+        assert code == 0
+        assert path.read_text().splitlines()[0] == (
+            "# repro-config: check=disagree algorithm=steensgaard "
+            "against=naive pts=bitmap opt=none k-cs=0 sanitize=1"
+        )
+        return str(path)
+
+    def test_bare_compare_replays_the_disagreement(self, disagree_repro, capsys):
+        code, out, err = run_cli(["compare", disagree_repro], capsys)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[3:]] == [
+            "steensgaard", "naive",
+        ]
+        assert err == (
+            "replaying --algorithms steensgaard,naive --pts bitmap --opt none "
+            f"--k-cs 0 --sanitize from the repro-config header of "
+            f"{disagree_repro}\n"
+            "WARNING: naive disagrees with steensgaard\n"
+        )
+
+    def test_recorded_algorithm_and_sanitize_replayed(
+        self, disagree_repro, capsys
+    ):
+        code, out, err = run_cli(["solve", disagree_repro, "--stats"], capsys)
+        assert code == 0
+        assert "verify_invariant_checks" in out  # the sanitizer ran
+        assert err.startswith(
+            "replaying --algorithm steensgaard --pts bitmap --opt none "
+            "--k-cs 0 --sanitize from the repro-config header"
+        )
+        assert "steensgaard:" in err
+
+    def test_explicit_algorithm_overrides_header(self, disagree_repro, capsys):
+        code, out, err = run_cli(
+            ["compare", disagree_repro, "--algorithms", "naive,lcd"], capsys
+        )
+        assert code == 0
+        assert "--algorithms" not in err and "WARNING" not in err
+        assert "steensgaard" not in out
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("algorithm=wave", "unknown algorithm 'wave'; valid: blq, hcd, ht"),
+            ("algorithm=lcd against=wave", "unknown algorithm 'wave'; valid:"),
+            ("sanitize=yes", "unknown sanitize value 'yes'; valid: 0, 1\n"),
+        ],
+    )
+    def test_unknown_recorded_value_is_located(
+        self, tmp_path, capsys, entry, message
+    ):
+        path = tmp_path / "repro.cons"
+        path.write_text(f"# repro-config: {entry}\nvar a\n")
+        code, _, err = run_cli(["compare", str(path)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}:1: repro header records {message}")
 
     def test_unknown_recorded_pts_is_located(self, tmp_path, capsys):
         path = tmp_path / "repro.cons"

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.analysis.escape import EscapeAnalysis, _owner_of
+from repro.analysis.escape import EscapeAnalysis
 from repro.analysis.mod_ref import ModRefAnalysis
 from repro.constraints.builder import ConstraintBuilder
-from repro.constraints.model import Constraint, ConstraintKind
+from repro.constraints.model import Constraint, ConstraintKind, owner_of
 from repro.frontend.generator import generate_constraints
 from repro.solvers.registry import solve
 
@@ -131,6 +131,6 @@ class TestEscape:
         assert escape.escapes("main::x")
 
     def test_owner_parsing(self):
-        assert _owner_of("main::x") == "main"
-        assert _owner_of("main$tmp1@3") == "main"
-        assert _owner_of("global") is None
+        assert owner_of("main::x") == "main"
+        assert owner_of("main$tmp1@3") == "main"
+        assert owner_of("global") is None

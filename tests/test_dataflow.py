@@ -10,6 +10,7 @@ attribution.
 import pytest
 
 from repro.analysis.escape import EscapeAnalysis
+from repro.constraints.model import owner_of
 from repro.dataflow import (
     IntersectDataflow,
     UnionDataflow,
@@ -18,7 +19,7 @@ from repro.dataflow import (
     find_taint_flows,
 )
 from repro.dataflow.engine import SEED_PRED
-from repro.dataflow.interproc import FunctionGraph, owner_name
+from repro.dataflow.interproc import FunctionGraph
 from repro.frontend import generate_constraints
 from repro.solvers.registry import solve
 
@@ -189,10 +190,15 @@ class TestValueFlow:
 
 class TestFunctionGraph:
     def test_owner_name_conventions(self):
-        assert owner_name("main::raw") == "main"
-        assert owner_name("route$ret1@12") == "route"
-        assert owner_name("box") is None
-        assert owner_name("heap@10#1") is None
+        """The one owning-function rule the front end's names follow,
+        shared by contexts, escape analysis, checkers and dataflow."""
+        assert owner_of("main::raw") == "main"
+        assert owner_of("route$ret1@12") == "route"
+        assert owner_of("main$tmp1@3") == "main"
+        assert owner_of("<global>$tmp2@1") == "<global>"
+        assert owner_of("$x") is None
+        assert owner_of("box") is None
+        assert owner_of("heap@10#1") is None
 
     def test_direct_call_edges(self):
         program, solution = _solved(SOURCE)

@@ -133,6 +133,21 @@ def test_duplicate_parameter_is_located(workdir, command, declaration):
     ), err.getvalue()
 
 
+@pytest.mark.parametrize("literal", ["4f", "08", "0x"])
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_malformed_integer_literal_is_located(workdir, command, literal):
+    path = str(workdir / "literal.c")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"int g;\nint main() {{ g = {literal}; return 0; }}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, path])
+    assert code == 1
+    assert err.getvalue() == (
+        f"error: {path}:2:18: malformed integer literal (at {literal!r})\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # Line-mutated constraint files through solve, verify, stats and compare
 # ----------------------------------------------------------------------

@@ -146,6 +146,20 @@ class TestMinimizeSystem:
         assert (f.node, f.node) in base_pairs
 
 
+class TestStockPredicates:
+    def test_sanitizer_violation_counts_as_disagreement(
+        self, simple_system, monkeypatch
+    ):
+        from repro.verify.sanitizer import InvariantViolation, Sanitizer
+
+        def tripped(self):
+            raise InvariantViolation("rep-consistency", "seeded", "lcd")
+
+        monkeypatch.setattr(Sanitizer, "final_check", tripped)
+        assert not solvers_disagree("lcd", "naive")(simple_system)
+        assert solvers_disagree("lcd", "naive", sanitize=True)(simple_system)
+
+
 class TestSolutionsMatchAfterReduce:
     def test_reduced_system_still_well_formed(self):
         system = generate_workload("wine", scale=1 / 512, seed=2)
