@@ -46,7 +46,7 @@ from repro.metrics.memory import to_megabytes
 from repro.metrics.reporting import Table, format_ctx_summary, format_opt_summary
 from repro.points_to.interface import FAMILY_KINDS
 from repro.preprocess.hvn import OPT_STAGES, preprocess_system
-from repro.solvers.registry import all_solvers, available_solvers, make_solver
+from repro.solvers.registry import all_solvers, available_solvers, make_solver, solver_class
 from repro.verify.sanitizer import InvariantViolation
 from repro.workloads import BENCHMARK_ORDER, generate_workload
 
@@ -161,6 +161,21 @@ def _resolve_replay_flags(
             + (f" of {path}" if path else ""),
             file=sys.stderr,
         )
+
+
+def _algorithm_list(spec: str, allow_all: bool = False) -> List[str]:
+    """The stripped names of a comma-separated ``--algorithms`` value,
+    each checked before the first solver is built; ``all`` (when
+    ``allow_all``) means every inclusion-based configuration.  An empty
+    entry or an unknown name is a ``ValueError`` naming it."""
+    if allow_all and spec.strip() == "all":
+        return available_solvers()
+    names = [name.strip() for name in spec.split(",")]
+    for name in names:
+        if not name:
+            raise ValueError(f"--algorithms {spec!r} has an empty entry")
+        solver_class(name)
+    return names
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -352,7 +367,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     system, header, header_line = _read_system_and_header(args.file)
     _resolve_replay_flags(args, "hu", header, args.file, header_line)
-    algorithms = args.algorithms.split(",")
+    algorithms = _algorithm_list(args.algorithms)
     table = Table(
         f"comparison on {args.file}",
         ["algorithm", "time (s)", "propagations", "searched",
@@ -362,7 +377,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ctx_summary = ""
     for algorithm in algorithms:
         solver = make_solver(
-            system, algorithm.strip(), pts=args.pts, sanitize=args.sanitize,
+            system, algorithm, pts=args.pts, sanitize=args.sanitize,
             opt=args.opt, k_cs=args.k_cs,
         )
         solution = solver.solve()
@@ -381,8 +396,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 to_megabytes(solver.stats.total_memory_bytes),
             ]
         )
-        # The expansion is deterministic (and cached), so one line
-        # describes every run in the table.
+        # Every solver shares the system's one expansion
+        # (ConstraintSystem.derived), so one line describes every run.
         ctx_summary = format_ctx_summary(solver.stats.as_dict())
     print(table.render())
     if ctx_summary:
@@ -395,10 +410,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     system, header, header_line = _read_system_and_header(args.file)
     _resolve_replay_flags(args, "hu", header, args.file, header_line)
-    if args.algorithms == "all":
-        algorithms = available_solvers()
-    else:
-        algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    algorithms = _algorithm_list(args.algorithms, allow_all=True)
     families = list(FAMILY_KINDS) if args.pts == "all" else [args.pts]
 
     table = Table(

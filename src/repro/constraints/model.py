@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 #: Offset of the return-value node relative to its function variable.
 RETURN_OFFSET = 1
 #: Offset of the first parameter node relative to its function variable.
 PARAM_OFFSET = 2
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,7 @@ class ConstraintSystem:
             self.max_offset[info.node] = info.max_offset
         for block in self._object_blocks.values():
             self.max_offset[block.node] = block.max_offset
+        self._derived: Dict[Hashable, object] = {}
 
     # ------------------------------------------------------------------
     # Validation
@@ -327,6 +330,17 @@ class ConstraintSystem:
     # ------------------------------------------------------------------
     # Derived systems
     # ------------------------------------------------------------------
+
+    def derived(self, key: Hashable, compute: Callable[["ConstraintSystem"], _T]) -> _T:
+        """``compute(self)``, computed on the first call per ``key`` only.
+
+        The offline stages store their results here, so every solver
+        built on this system shares them.  Callers never mutate a stored
+        result.  The memo takes no part in equality.
+        """
+        if key not in self._derived:
+            self._derived[key] = compute(self)
+        return self._derived[key]  # type: ignore[return-value]
 
     def with_constraints(self, constraints: Sequence[Constraint]) -> "ConstraintSystem":
         """A copy of this system with a different constraint list."""

@@ -85,7 +85,6 @@ clone-space solution against the *expanded* system.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -203,45 +202,23 @@ class ContextExpansion:
         )
 
 
-# Cache of recent expansions.  ConstraintSystem defines __eq__ without
-# __hash__ (unhashable), so the cache is an identity-keyed weakref list:
-# the 17-solver agreement/verify sweeps re-expand the same system object
-# per algorithm, and this makes every run after the first free.
-_CACHE: List[Tuple["weakref.ref", int, ContextExpansion]] = []
-_CACHE_LIMIT = 8
-
-
 def expand_contexts(
     system: ConstraintSystem,
     k: int,
     bootstrap: Optional[PointsToSolution] = None,
 ) -> ContextExpansion:
-    """Rewrite ``system`` into its k-CFA expansion (cached per object).
+    """Rewrite ``system`` into its k-CFA expansion (once per object and k).
 
     ``bootstrap`` optionally supplies the context-insensitive solution
     used to resolve indirect call sites; when omitted (the normal path)
-    one is computed with the headline configuration.
+    one is computed with the headline configuration.  A call with an
+    explicit ``bootstrap`` is never memoized.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if bootstrap is None:
-        alive: List[Tuple["weakref.ref", int, ContextExpansion]] = []
-        hit: Optional[ContextExpansion] = None
-        for ref, cached_k, expansion in _CACHE:
-            target = ref()
-            if target is None:
-                continue
-            alive.append((ref, cached_k, expansion))
-            if target is system and cached_k == k:
-                hit = expansion
-        _CACHE[:] = alive[-_CACHE_LIMIT:]
-        if hit is not None:
-            return hit
-    expansion = _expand(system, k, bootstrap)
-    if bootstrap is None:
-        _CACHE.append((weakref.ref(system), k, expansion))
-        del _CACHE[:-_CACHE_LIMIT]
-    return expansion
+    if bootstrap is not None:
+        return _expand(system, k, bootstrap)
+    return system.derived(("k-cs", k), lambda s: _expand(s, k, None))
 
 
 def _expand(

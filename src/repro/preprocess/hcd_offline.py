@@ -59,7 +59,11 @@ class HCDOfflineResult:
 
 
 def hcd_offline_analysis(system: ConstraintSystem) -> HCDOfflineResult:
-    """Run the HCD offline pass over a constraint system."""
+    """Run the HCD offline pass over a constraint system, once per object."""
+    return system.derived("hcd-offline", _analyze)
+
+
+def _analyze(system: ConstraintSystem) -> HCDOfflineResult:
     start = time.perf_counter()
     num_vars = system.num_vars
 

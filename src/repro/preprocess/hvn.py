@@ -585,6 +585,7 @@ def preprocess_system(
     renumbering the reduced system into its own compact id space (see
     :func:`compact_system`), so every later stage is sized by what the
     reduction left, not by the input; ``none`` returns ``system`` itself.
+    ``ovs`` and ``hu`` run once per system object (``system.derived``).
     """
     if opt not in OPT_STAGES:
         known = ", ".join(OPT_STAGES)
@@ -598,6 +599,11 @@ def preprocess_system(
             offline_seconds=0.0,
             passes=0,
         )
+    return system.derived(("opt", opt), lambda s: _run_stage(s, opt))
+
+
+def _run_stage(system: ConstraintSystem, opt: str) -> PreprocessResult:
+    """Run ``ovs`` or ``hu`` on ``system`` and compact what it leaves."""
     if opt == "ovs":
         # The Rountev-style baseline stage, wrapped into the common shape.
         from repro.preprocess.ovs import offline_variable_substitution

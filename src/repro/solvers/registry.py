@@ -12,7 +12,7 @@ algorithm, exactly as in the paper's evaluation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, List, Tuple, Type
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintSystem
@@ -78,6 +78,25 @@ def all_solvers() -> List[str]:
     return available_solvers() + sorted(_PRECISION_BASELINES)
 
 
+def solver_class(algorithm: str) -> Tuple[Type[BaseSolver], bool]:
+    """The solver class an algorithm name selects, and whether HCD is
+    composed with it; an unknown name is a ``ValueError`` naming it."""
+    name = algorithm.lower().strip()
+    hcd = False
+    if name.endswith("+hcd"):
+        hcd = True
+        name = name[: -len("+hcd")]
+    solver_cls = _BASE_SOLVERS.get(name)
+    if solver_cls is None and not hcd:
+        solver_cls = _PRECISION_BASELINES.get(name)
+    if solver_cls is None:
+        known = ", ".join(all_solvers())
+        raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
+    if solver_cls is HCDSolver and hcd:
+        hcd = False  # "hcd+hcd" is just hcd
+    return solver_cls, hcd
+
+
 def make_solver(
     system: ConstraintSystem,
     algorithm: str = "lcd+hcd",
@@ -97,21 +116,11 @@ def make_solver(
     sensitivity (:mod:`repro.contexts`): the system is cloned per
     bounded call string before the ``opt`` stage, and the solution is
     projected back onto the base variables — composable with every
-    algorithm, points-to family and optimization stage.
+    algorithm, points-to family and optimization stage.  Solvers built
+    on one system object share its offline stages
+    (:meth:`~repro.constraints.model.ConstraintSystem.derived`).
     """
-    name = algorithm.lower().strip()
-    hcd = False
-    if name.endswith("+hcd"):
-        hcd = True
-        name = name[: -len("+hcd")]
-    solver_cls = _BASE_SOLVERS.get(name)
-    if solver_cls is None and not hcd:
-        solver_cls = _PRECISION_BASELINES.get(name)
-    if solver_cls is None:
-        known = ", ".join(all_solvers())
-        raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
-    if solver_cls is HCDSolver and hcd:
-        hcd = False  # "hcd+hcd" is just hcd
+    solver_cls, hcd = solver_class(algorithm)
     return solver_cls(
         system, pts=pts, hcd=hcd, worklist=worklist, sanitize=sanitize,
         opt=opt, k_cs=k_cs,

@@ -174,6 +174,107 @@ class TestCompareAndStats:
         assert "REJECT" not in out
 
 
+class TestOfflineStagesRunOnce:
+    """Every solver a command builds on one system shares that system's
+    offline stages (``ConstraintSystem.derived``): ``compare`` and
+    ``verify`` run the opt stage once per system, not once per solver."""
+
+    @pytest.fixture
+    def wine_file(self, tmp_path, capsys):
+        path = tmp_path / "wine.cons"
+        code, _, _ = run_cli(
+            ["generate", "wine", "--scale", "1024", "--seed", "2", "-o", str(path)],
+            capsys,
+        )
+        assert code == 0
+        return str(path)
+
+    @pytest.fixture
+    def stage_runs(self, monkeypatch):
+        import repro.preprocess.hvn as hvn
+        import repro.preprocess.ovs as ovs
+
+        runs = []
+        for module, name, stage in (
+            (ovs, "offline_variable_substitution", "ovs"),
+            (hvn, "hvn_reduce", "hu"),
+        ):
+            real = getattr(module, name)
+
+            def counted(system, _real=real, _stage=stage):
+                runs.append(_stage)
+                return _real(system)
+
+            monkeypatch.setattr(module, name, counted)
+        return runs
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["compare", "--opt", "ovs"], ["ovs"]),
+            # The bootstrap's HU on the input, then one HU on the expansion.
+            (["compare", "--opt", "hu", "--k-cs", "1"], ["hu", "hu"]),
+            (["verify", "--algorithms", "all", "--pts", "all", "--opt", "hu"], ["hu"]),
+        ],
+    )
+    def test_opt_stage_runs_once_per_system(
+        self, wine_file, stage_runs, capsys, argv, expected
+    ):
+        code, _, err = run_cli([argv[0], wine_file, *argv[1:]], capsys)
+        assert code == 0
+        assert "WARNING" not in err
+        assert stage_runs == expected
+
+
+class TestAlgorithmLists:
+    """``compare`` and ``verify`` parse ``--algorithms`` the same way and
+    check the whole list before they build the first solver."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import repro.cli
+
+        built = []
+        real = repro.cli.make_solver
+
+        def record(system, algorithm, **options):
+            built.append(algorithm)
+            return real(system, algorithm, **options)
+
+        monkeypatch.setattr(repro.cli, "make_solver", record)
+        return built
+
+    @pytest.mark.parametrize("command", ["compare", "verify"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (",", "--algorithms ',' has an empty entry\n"),
+            ("", "--algorithms '' has an empty entry\n"),
+            ("lcd,", "--algorithms 'lcd,' has an empty entry\n"),
+            ("lcd,bogus", "unknown algorithm 'bogus'; known: blq, hcd,"),
+        ],
+    )
+    def test_bad_list_fails_before_any_solve(
+        self, constraint_file, builds, capsys, command, spec, message
+    ):
+        code, out, err = run_cli(
+            [command, constraint_file, "--algorithms", spec], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert builds == []
+
+    def test_names_are_stripped(self, constraint_file, builds, capsys):
+        code, _, err = run_cli(
+            ["compare", constraint_file, "--algorithms", " naive , steensgaard"],
+            capsys,
+        )
+        assert code == 0
+        assert builds == ["naive", "steensgaard"]
+        assert err == "WARNING: steensgaard disagrees with naive\n"
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -4,8 +4,11 @@ The solver-facing contract — every algorithm/family/opt bit-identical at
 each k — lives in ``test_solver_agreement.py``; this file pins down the
 expansion itself: call-string bounding, cloning/sharing policy, indirect
 binding precision, monotone precision, the irregular-site fallback, the
-expansion cache and the projection contract.
+per-system expansion memo and the projection contract.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -18,7 +21,6 @@ from repro.contexts import (
     extend_call_string,
     format_call_string,
 )
-from repro.contexts.manager import _CACHE, _CACHE_LIMIT
 from repro.solvers.registry import make_solver, solve
 
 
@@ -263,11 +265,26 @@ class TestCacheAndProjection:
         assert expand_contexts(system, 1) is first
         assert expand_contexts(system, 2) is not first
 
-    def test_cache_is_bounded(self):
-        systems = [random_system(seed) for seed in range(_CACHE_LIMIT + 4)]
-        for system in systems:
-            expand_contexts(system, 1)
-        assert len(_CACHE) <= _CACHE_LIMIT
+    def test_derivations_die_with_their_system(self):
+        """The memo lives on the system: nothing global keeps a system's
+        expansion, opt stage or HCD offline pass alive after it."""
+        system, *_ = _pick_system()
+        solver = make_solver(system, "lcd+hcd", opt="hu", k_cs=1)
+        derived = (solver.context, solver.preprocess, solver.hcd_offline)
+        refs = [weakref.ref(obj) for obj in (system, *derived)]
+        assert all(ref() is not None for ref in refs)
+        del system, solver, derived
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_explicit_bootstrap_is_not_cached(self):
+        system, *_ = _pick_system()
+        bootstrap = solve(system, "lcd+hcd")
+        first = expand_contexts(system, 1, bootstrap=bootstrap)
+        assert expand_contexts(system, 1, bootstrap=bootstrap) is not first
+        memoized = expand_contexts(system, 1)
+        assert memoized is not first
+        assert expand_contexts(system, 1, bootstrap=bootstrap) is not memoized
 
     def test_project_rejects_wrong_space(self):
         system, *_ = _pick_system()

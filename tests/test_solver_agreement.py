@@ -16,7 +16,7 @@ from repro.contexts import K_LEVELS
 from repro.points_to.interface import FAMILY_KINDS
 from repro.preprocess.hvn import OPT_STAGES
 from repro.preprocess.ovs import offline_variable_substitution
-from repro.solvers.registry import available_solvers, solve
+from repro.solvers.registry import all_solvers, available_solvers, make_solver, solve
 from repro.workloads import generate_workload
 from strategies import constraint_systems, k_levels, opt_stages, pts_families
 
@@ -224,6 +224,53 @@ class TestCounterAgreement:
         indirect calls, which the workloads above lack."""
         for opt in ("none", "hu"):
             self._assert_bitmap_counters(system, opt)
+
+
+class TestSharedOfflineStages:
+    """Solvers built on one system object share its k-CFA expansion, opt
+    stage and HCD offline pass (``ConstraintSystem.derived``).  Sharing
+    must be invisible: each solver in a sequence on one system reports the
+    solution and section 5.3 counters of the same solver built on a fresh
+    equal copy, whatever ran on the shared system before it."""
+
+    @staticmethod
+    def _assert_shared_matches_fresh(system, runs, opt, k):
+        def counters(solver):
+            stats = solver.stats.as_dict()
+            return {key: stats[key] for key in TestCounterAgreement.COUNTERS}
+
+        for algorithm, pts in runs:
+            shared, fresh = (
+                make_solver(copy, algorithm, pts=pts, opt=opt, k_cs=k)
+                for copy in (system, system.with_constraints(system.constraints))
+            )
+            assert shared.solve() == fresh.solve(), (algorithm, pts)
+            assert counters(shared) == counters(fresh), (algorithm, pts)
+
+    @given(
+        # Larger than the default draw, so HCD pairs and cycles through
+        # them are common enough to exercise the shared pair lists.
+        system=constraint_systems(max_plain_vars=20, max_constraints=40),
+        runs=st.lists(
+            st.tuples(st.sampled_from(all_solvers()), pts_families),
+            min_size=2,
+            max_size=5,
+        ),
+        opt=opt_stages,
+        k=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_drawn_sequences_match_fresh_solvers(self, system, runs, opt, k):
+        self._assert_shared_matches_fresh(system, runs, opt, k)
+
+    @pytest.mark.parametrize("name", ["emacs", "wine", "linux"])
+    @pytest.mark.parametrize("opt", ["ovs", "hu"])
+    def test_hcd_sequences_match_fresh_solvers(self, name, opt):
+        """Every HCD configuration in turn on one workload: the online
+        collapses must never write through to the shared pair lists."""
+        system = generate_workload(name, scale=1 / 512, seed=2)
+        runs = [(a, "bitmap") for a in ALGORITHMS if a.endswith("hcd")]
+        self._assert_shared_matches_fresh(system, runs, opt, 0)
 
 
 class TestMetamorphic:
