@@ -12,7 +12,7 @@ import pytest
 from conftest import SCALE, emit_table, workload
 from repro.constraints.model import ConstraintKind
 from repro.metrics.reporting import Table
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import offline_variable_substitution
 from repro.workloads import BENCHMARK_ORDER, BENCHMARKS, generate_workload
 
 _rows = {}

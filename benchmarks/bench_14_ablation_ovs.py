@@ -9,7 +9,7 @@ import pytest
 
 from conftest import SCALE, emit_table
 from repro.metrics.reporting import Table
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import offline_variable_substitution
 from repro.solvers.registry import make_solver
 from repro.workloads import generate_workload
 

@@ -25,7 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest
 
 from repro.metrics.reporting import Table
-from repro.preprocess.ovs import OVSResult, offline_variable_substitution
+from repro.preprocess.hvn import PreprocessResult, offline_variable_substitution
 from repro.solvers.base import BaseSolver
 from repro.solvers.registry import make_solver
 from repro.workloads import BENCHMARK_ORDER, generate_workload
@@ -46,14 +46,14 @@ TABLE5_ALGORITHMS = ["ht", "pkh", "lcd", "hcd", "ht+hcd", "pkh+hcd", "lcd+hcd"]
 #: per bench session, committed so PRs can be diffed on numbers).
 BENCH_JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_repr.json")
 
-_workload_cache: Dict[str, OVSResult] = {}
+_workload_cache: Dict[str, PreprocessResult] = {}
 _run_cache: Dict[Tuple[str, str, str], BaseSolver] = {}
 _tables: List[Table] = []
 _bench_records: List[Dict] = []
 _extra_records: List[Dict] = []
 
 
-def workload(name: str) -> OVSResult:
+def workload(name: str) -> PreprocessResult:
     """Raw profile workload + its OVS reduction, cached per session."""
     result = _workload_cache.get(name)
     if result is None:

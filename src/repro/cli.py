@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -347,6 +348,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if len(report) else 0
 
 
+def _scale_denominator(text: str) -> float:
+    """``generate --scale``: a finite number above 0 (paper counts / N)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r}: want a finite number above 0"
+        )
+    return value
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     system = generate_workload(
         args.benchmark, scale=1.0 / args.scale, seed=args.seed
@@ -569,9 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             choices=list(OPT_STAGES),
             help="offline optimization stage run before solving: raw "
-            "constraints (none), Rountev-style variable substitution "
-            "(ovs), or Hardekopf & Lin's union-tracking HU with location "
-            "equivalence (hu); "
+            "constraints (none), offline variable substitution as one "
+            "round of Hardekopf & Lin's union-tracking HU (ovs), or HU "
+            "iterated to a fixpoint with location equivalence (hu); "
             "solutions are expanded back to the original variable space, "
             "so results are identical across stages (default hu, except "
             "reduce, which defaults to none so repros replay the raw "
@@ -679,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_generate = sub.add_parser("generate", help="emit a synthetic benchmark workload")
     p_generate.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    p_generate.add_argument("--scale", type=float, default=128.0,
+    p_generate.add_argument("--scale", type=_scale_denominator, default=128.0,
                             help="scale denominator (paper counts / N)")
     p_generate.add_argument("--seed", type=int, default=1)
     p_generate.add_argument("-o", "--output")

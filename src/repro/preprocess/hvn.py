@@ -1,16 +1,19 @@
-"""The offline HU optimization stage (Hardekopf & Lin, SAS 2007).
+"""The offline optimization stages: OVS and HU (Hardekopf & Lin, SAS 2007).
 
-The companion paper to the one reproduced here ("Exploiting Pointer and
-Location Equivalence to Optimize Pointer Analysis") shows that the
-online constraint graph can be shrunk 30-60% *beyond* plain OVS by
-offline analyses run before any solver starts.  The strongest of them,
-**HU**, labels every node of an offline constraint graph with a label
-set and symbolically evaluates the label *unions*: nodes with equal label
-sets are pointer-equivalent (provably identical points-to sets) and
+The paper solves every benchmark after "a variant of Offline Variable
+Substitution" (OVS; Rountev & Chandra, PLDI 2000), which "reduces the
+number of constraints by 60-77%" before any solver runs.  Its companion
+paper ("Exploiting Pointer and Location Equivalence to Optimize Pointer
+Analysis") shrinks the online constraint graph a further 30-60% with
+**HU**, which labels every node of an offline constraint graph with a
+label set and symbolically evaluates the label *unions*: nodes with equal
+label sets are pointer-equivalent (provably identical points-to sets) and
 collapse to one online node.  Evaluating unions proves more than hashing
 them would (``c ⊇ a, b`` with ``pts(a) ⊆ pts(b)`` still matches a plain
 copy of ``b``), and an empty label set proves a provably-empty pointer
-whose constraints are deleted outright.
+whose constraints are deleted outright.  Both stages share that one label
+pass (:func:`_label_pass`), one rewrite and one result type: ``ovs`` is
+HU's first round without location equivalence.
 
 The offline graph distinguishes **direct** nodes (top-level variables,
 whose points-to sets are fully described by their incoming copy edges)
@@ -28,9 +31,9 @@ edges: an edge ``src → *(p+k)`` would assert ``pts(src)`` flows through
 the ref, which is false when ``pts(p)`` is empty, and the ref's fresh
 label already accounts for whatever stores actually deliver.
 
-Two refinements close the lattice, both realized by **iterating
-reduce-and-rewrite to a fixpoint** rather than by threading extra state
-through one pass:
+HU adds two refinements that close the lattice, both realized by
+**iterating reduce-and-rewrite to a fixpoint** rather than by threading
+extra state through one pass:
 
 - **Ref-node unification** (the paper's "HR" iteration): once ``p ≡ q``
   is proven and the system rewritten, ``*(p+k)`` and ``*(q+k)`` name the
@@ -55,10 +58,11 @@ cheap enough that HU pays for itself even on small inputs.
 
 Everything is exposed as a composable pipeline stage: see
 :func:`preprocess_system` and :data:`OPT_STAGES` for the
-``--opt none|ovs|hu`` chain the solvers and the CLI consume, and
-:func:`compact_system` for the renumbering that ends the ``ovs`` and
-``hu`` stages, and :class:`SubstitutionMap` for the contract that maps
-solutions of the reduced system back onto the original variable space.
+``--opt none|ovs|hu`` chain the solvers and the CLI consume,
+:func:`offline_variable_substitution` and :func:`hvn_reduce` for the two
+stages, :func:`compact_system` for the renumbering that ends them, and
+:class:`SubstitutionMap` for the contract that maps solutions of the
+reduced system back onto the original variable space.
 """
 
 from __future__ import annotations
@@ -78,10 +82,11 @@ from repro.constraints.model import (
 from repro.graph.scc import tarjan_scc
 
 #: The offline pipeline stages, weakest to strongest.  ``none`` feeds the
-#: solver the raw constraints; ``ovs`` is Rountev-style offline variable
-#: substitution (:mod:`repro.preprocess.ovs`); ``hu`` is the SAS 2007
-#: stage implemented here, with ref-node unification and location
-#: equivalence.
+#: solver the raw constraints; ``ovs`` is offline variable substitution,
+#: one label pass and rewrite without location equivalence
+#: (:func:`offline_variable_substitution`); ``hu`` is the SAS 2007 stage,
+#: iterated to a fixpoint with ref-node unification and location
+#: equivalence (:func:`hvn_reduce`).
 OPT_STAGES: Tuple[str, ...] = ("none", "ovs", "hu")
 
 #: Fixpoint bound for the reduce-and-rewrite cascade.  Real constraint
@@ -220,20 +225,6 @@ class _Structure:
         for block in system.object_blocks.values():
             self.block_members.update(range(block.node, block.node + block.block_size))
         self.protected |= self.block_members
-
-        #: loc -> BASE destinations taking its address (the ADR uses).
-        adr_dests: Dict[int, Set[int]] = {}
-        for constraint in system.constraints:
-            if constraint.kind is ConstraintKind.BASE:
-                adr_dests.setdefault(constraint.src, set()).add(constraint.dst)
-        self.adr_dests = adr_dests
-
-        #: Location-equivalence candidates: address-taken and outside
-        #: every block, so offset arithmetic can neither produce nor
-        #: target them and every offset filter treats a class uniformly.
-        self.le_candidates: List[int] = sorted(
-            loc for loc in adr_dests if loc not in self.block_members
-        )
 
 
 # ----------------------------------------------------------------------
@@ -376,45 +367,52 @@ def _armed_stores(system: ConstraintSystem, labels: Sequence[int]) -> Set[int]:
     return armed
 
 
-def _reduce_round(
-    system: ConstraintSystem, armed: Optional[Set[int]] = None
-) -> Tuple[ConstraintSystem, List[int], List[int], bool, List[int]]:
-    """Run one label pass and rewrite the system over the merges found.
+def _pointer_classes(structure: _Structure, labels: Sequence[int]) -> List[int]:
+    """Map each variable to its pointer-equivalence representative.
 
-    ``armed`` carries store-arming evidence from the previous round's
-    labels (None on the first round).  Returns ``(reduced, var_to_rep,
-    loc_rep, changed, labels)`` where the maps cover this round only and
-    ``changed`` reports whether anything (merge *or* constraint
-    deletion) happened.
+    Equal labels prove equal points-to sets.  Indirect variables keep
+    their online node (stores target them by id), but they still *join*
+    classes: an unprotected variable with the same label as a protected
+    one can adopt it as representative.
     """
-    structure = _Structure(system)
-    num_vars = structure.num_vars
-    labels = _label_pass(system, structure, armed)
-
-    # Pointer equivalence: equal labels prove equal points-to sets.
-    # Indirect variables keep their online node (stores target them by
-    # id), but they still *join* classes: an unprotected variable with
-    # the same label as a protected one can adopt it as representative.
-    var_to_rep = list(range(num_vars))
+    var_to_rep = list(range(structure.num_vars))
     class_rep: Dict[int, int] = {}
-    for var in range(num_vars):
-        key = labels[var]
-        rep = class_rep.setdefault(key, var)
+    for var in range(structure.num_vars):
+        rep = class_rep.setdefault(labels[var], var)
         if rep != var and var not in structure.protected:
             var_to_rep[var] = rep
+    return var_to_rep
 
-    # Location equivalence.  Equal ADR-use label sets prove equal set
-    # *membership* (the addresses enter pointer-equivalent destinations
-    # and every constraint moves whole sets, so the locations co-occur
-    # everywhere).  Equal labels-minus-own-fresh additionally prove
-    # equal *own* points-to sets: co-occurrence makes the indirect
-    # inflows (what the fresh bits denote) identical, and the remaining
-    # bits cover all direct inflow.  Together the class folds onto one
-    # location id — in sets and as a node.
+
+def _location_classes(
+    system: ConstraintSystem,
+    structure: _Structure,
+    labels: Sequence[int],
+    var_to_rep: List[int],
+) -> List[int]:
+    """Location equivalence: fold each class of locations onto one id.
+
+    Equal ADR-use label sets prove equal set *membership* (the addresses
+    enter pointer-equivalent destinations and every constraint moves
+    whole sets, so the locations co-occur everywhere).  Equal
+    labels-minus-own-fresh additionally prove equal *own* points-to
+    sets: co-occurrence makes the indirect inflows (what the fresh bits
+    denote) identical, and the remaining bits cover all direct inflow.
+    Together the class folds onto one location id — in sets and as a
+    node, so ``var_to_rep`` is updated in place.  Candidates are
+    address-taken and outside every block, so offset arithmetic can
+    neither produce nor target them and every offset filter treats a
+    class uniformly.  Returns the location map.
+    """
+    num_vars = structure.num_vars
+    adr_dests: Dict[int, Set[int]] = {}  # loc -> BASE destinations taking its address
+    for constraint in system.constraints:
+        if constraint.kind is ConstraintKind.BASE:
+            adr_dests.setdefault(constraint.src, set()).add(constraint.dst)
     loc_rep = list(range(num_vars))
     class_by_key: Dict[Tuple[frozenset, int], int] = {}
-    for loc in structure.le_candidates:
-        uses = frozenset(labels[dst] for dst in structure.adr_dests[loc])
+    for loc in sorted(adr_dests.keys() - structure.block_members):
+        uses = frozenset(labels[dst] for dst in adr_dests[loc])
         masked = labels[loc] & ~(1 << (num_vars + loc))
         rep = class_by_key.setdefault((uses, masked), loc)
         if rep != loc:
@@ -429,7 +427,24 @@ def _reduce_round(
         rep = var_to_rep[var]
         if var_to_rep[rep] != rep:
             var_to_rep[var] = var_to_rep[rep]
+    return loc_rep
 
+
+def _reduce_round(
+    system: ConstraintSystem, armed: Optional[Set[int]] = None
+) -> Tuple[ConstraintSystem, List[int], List[int], bool, List[int]]:
+    """Run one label pass and rewrite the system over the merges found.
+
+    ``armed`` carries store-arming evidence from the previous round's
+    labels (None on the first round).  Returns ``(reduced, var_to_rep,
+    loc_rep, changed, labels)`` where the maps cover this round only and
+    ``changed`` reports whether anything (merge *or* constraint
+    deletion) happened.
+    """
+    structure = _Structure(system)
+    labels = _label_pass(system, structure, armed)
+    var_to_rep = _pointer_classes(structure, labels)
+    loc_rep = _location_classes(system, structure, labels, var_to_rep)
     reduced_constraints = _rewrite(system, labels, var_to_rep, loc_rep)
     # Progress test: merges among variables the constraints no longer
     # mention are invisible (already-substituted orphans all share the
@@ -489,6 +504,30 @@ def hvn_reduce(system: ConstraintSystem) -> PreprocessResult:
         substitution=SubstitutionMap(total_var_to_rep, loc_members),
         offline_seconds=elapsed,
         passes=passes,
+    )
+
+
+def offline_variable_substitution(system: ConstraintSystem) -> PreprocessResult:
+    """Run the OVS pipeline stage: HU's first round without location
+    equivalence.
+
+    One label pass, the pointer-equivalence classes and the rewrite;
+    locations keep their own ids, so the result carries no
+    ``loc_members``.  Like :func:`hvn_reduce` it returns the reduced
+    system in the original id space.
+    """
+    start = time.perf_counter()
+    structure = _Structure(system)
+    labels = _label_pass(system, structure)
+    var_to_rep = _pointer_classes(structure, labels)
+    identity = list(range(system.num_vars))
+    reduced = system.with_constraints(_rewrite(system, labels, var_to_rep, identity))
+    return PreprocessResult(
+        stage="ovs",
+        original=system,
+        reduced=reduced,
+        substitution=SubstitutionMap(var_to_rep),
+        offline_seconds=time.perf_counter() - start,
     )
 
 
@@ -605,17 +644,7 @@ def preprocess_system(
 def _run_stage(system: ConstraintSystem, opt: str) -> PreprocessResult:
     """Run ``ovs`` or ``hu`` on ``system`` and compact what it leaves."""
     if opt == "ovs":
-        # The Rountev-style baseline stage, wrapped into the common shape.
-        from repro.preprocess.ovs import offline_variable_substitution
-
-        ovs = offline_variable_substitution(system)
-        pre = PreprocessResult(
-            stage="ovs",
-            original=system,
-            reduced=ovs.reduced,
-            substitution=SubstitutionMap(list(ovs.var_to_rep)),
-            offline_seconds=ovs.offline_seconds,
-        )
+        pre = offline_variable_substitution(system)
     else:
         pre = hvn_reduce(system)
     start = time.perf_counter()

@@ -146,6 +146,29 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             main(["generate", "doom"])
 
+    @pytest.mark.parametrize("scale", ["0", "-4", "inf", "nan", "-inf", "x"])
+    def test_rejects_a_scale_that_is_not_finite_and_positive(
+        self, tmp_path, capsys, scale
+    ):
+        target = tmp_path / "w.cons"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "wine", f"--scale={scale}", "-o", str(target)])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert (
+            f"argument --scale: invalid scale '{scale}': want a finite number "
+            "above 0\n"
+        ) in err
+        assert not target.exists()
+
+    def test_accepts_a_fractional_scale(self, tmp_path, capsys):
+        target = tmp_path / "w.cons"
+        code, _, err = run_cli(
+            ["generate", "emacs", "--scale", "2048.5", "-o", str(target)], capsys
+        )
+        assert code == 0
+        assert err.startswith("wrote ")
+
 
 class TestCompareAndStats:
     def test_compare(self, constraint_file, capsys):
@@ -192,20 +215,19 @@ class TestOfflineStagesRunOnce:
     @pytest.fixture
     def stage_runs(self, monkeypatch):
         import repro.preprocess.hvn as hvn
-        import repro.preprocess.ovs as ovs
 
         runs = []
-        for module, name, stage in (
-            (ovs, "offline_variable_substitution", "ovs"),
-            (hvn, "hvn_reduce", "hu"),
+        for name, stage in (
+            ("offline_variable_substitution", "ovs"),
+            ("hvn_reduce", "hu"),
         ):
-            real = getattr(module, name)
+            real = getattr(hvn, name)
 
             def counted(system, _real=real, _stage=stage):
                 runs.append(_stage)
                 return _real(system)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(hvn, name, counted)
         return runs
 
     @pytest.mark.parametrize(

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 from repro.constraints.builder import ConstraintBuilder
 from repro.constraints.model import ObjectBlock
 from repro.points_to.interface import FAMILY_KINDS
-from repro.preprocess.hvn import hvn_reduce, preprocess_system
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import (
+    hvn_reduce,
+    offline_variable_substitution,
+    preprocess_system,
+)
 from repro.solvers.registry import all_solvers, make_solver
 from strategies import constraint_systems, pts_families
 
@@ -32,12 +35,13 @@ SETTINGS = settings(
 )
 
 
+#: Each stage's reduction in the original id space, before compaction.
+UNCOMPACTED = {"ovs": offline_variable_substitution, "hu": hvn_reduce}
+
+
 def uncompacted(system, stage):
     """The stage's reduction in the original id space, and its expander."""
-    if stage == "ovs":
-        ovs = offline_variable_substitution(system)
-        return ovs.reduced, ovs.expand
-    pre = hvn_reduce(system)
+    pre = UNCOMPACTED[stage](system)
     return pre.reduced, pre.expand
 
 
@@ -139,18 +143,14 @@ class TestStructure:
     @SETTINGS
     def test_merge_counters_speak_original_ids(self, system, stage):
         pre = preprocess_system(system, stage)
+        plain = UNCOMPACTED[stage](system)
+        assert plain.substitution.original_ids is None
+        assert pre.substitution.var_to_rep == plain.substitution.var_to_rep
+        assert pre.substitution.loc_members == plain.substitution.loc_members
+        assert pre.merged_count() == plain.merged_count()
+        assert pre.locations_merged() == plain.locations_merged()
         if stage == "ovs":
-            ovs = offline_variable_substitution(system)
-            assert pre.substitution.var_to_rep == list(ovs.var_to_rep)
-            assert pre.merged_count() == ovs.merged_count()
             assert pre.locations_merged() == 0
-        else:
-            plain = hvn_reduce(system)
-            assert plain.substitution.original_ids is None
-            assert pre.substitution.var_to_rep == plain.substitution.var_to_rep
-            assert pre.substitution.loc_members == plain.substitution.loc_members
-            assert pre.merged_count() == plain.merged_count()
-            assert pre.locations_merged() == plain.locations_merged()
 
 
 class TestEmptyReduction:

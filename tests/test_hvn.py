@@ -21,9 +21,9 @@ from repro.preprocess.hvn import (
     PreprocessResult,
     SubstitutionMap,
     live_var_count,
+    offline_variable_substitution,
     preprocess_system,
 )
-from repro.preprocess.ovs import offline_variable_substitution
 from repro.solvers.registry import solve
 from repro.workloads import generate_workload
 from strategies import constraint_systems, opt_stages
@@ -64,8 +64,9 @@ class TestDispatcher:
         pre = preprocess_system(simple_system, "ovs")
         ovs = offline_variable_substitution(simple_system)
         assert len(pre.reduced) == len(ovs.reduced)
-        assert pre.substitution.var_to_rep == list(ovs.var_to_rep)
-        assert pre.stage == "ovs"
+        assert pre.substitution.var_to_rep == ovs.substitution.var_to_rep
+        assert pre.stage == ovs.stage == "ovs"
+        assert pre.passes == ovs.passes == 1
 
     @pytest.mark.parametrize("stage", OPT_STAGES)
     def test_every_stage_preserves_fixtures(

@@ -1,13 +1,20 @@
-"""Tests for Offline Variable Substitution."""
+"""Tests for Offline Variable Substitution: HU's first round without
+location equivalence."""
 
-from hypothesis import given, settings
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_system
 from repro.constraints.builder import ConstraintBuilder
 from repro.constraints.model import ConstraintKind
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.frontend import generate_constraints
+from repro.preprocess.hvn import hvn_reduce, offline_variable_substitution
 from repro.solvers.registry import solve
+from strategies import constraint_systems
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 class TestBasicMerging:
@@ -21,7 +28,7 @@ class TestBasicMerging:
         b.assign(t2, t1)
         b.assign(q, t2)
         result = offline_variable_substitution(b.build())
-        rep = result.var_to_rep
+        rep = result.substitution.var_to_rep
         assert rep[t1] == rep[t2] == rep[q]
         # The three copies collapse to at most one onto the class rep.
         assert len(result.reduced) <= 2
@@ -33,7 +40,7 @@ class TestBasicMerging:
         b.address_of(p, x)
         b.address_of(q, x)
         result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[q] == p
+        assert result.substitution.var_to_rep[q] == p
         assert len(result.reduced) == 1  # one base constraint survives
 
     def test_different_bases_not_merged(self):
@@ -42,7 +49,7 @@ class TestBasicMerging:
         b.address_of(p, b.var("x"))
         b.address_of(q, b.var("y"))
         result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[p] != result.var_to_rep[q] or p == q
+        assert result.substitution.var_to_rep[p] != result.substitution.var_to_rep[q] or p == q
 
     def test_empty_variables_share_class(self):
         b = ConstraintBuilder()
@@ -50,7 +57,7 @@ class TestBasicMerging:
         d = b.var("d")
         b.assign(a, c)  # all provably empty
         result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[c] == result.var_to_rep[d] or c == d
+        assert result.substitution.var_to_rep[c] == result.substitution.var_to_rep[d] or c == d
         assert len(result.reduced) == 0  # the dead copy is dropped
 
     def test_union_labels_merge_subsumed_join(self):
@@ -67,7 +74,7 @@ class TestBasicMerging:
         b.assign(c, vb)  # pts(c) = {x} | {x,y} = {x,y} = pts(b)
         b.assign(d, vb)  # plain copy of b
         result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[c] == result.var_to_rep[d]
+        assert result.substitution.var_to_rep[c] == result.substitution.var_to_rep[d]
 
     def test_copy_cycle_merges(self):
         b = ConstraintBuilder()
@@ -78,7 +85,7 @@ class TestBasicMerging:
         b.assign(r, q)
         b.assign(p, r)
         result = offline_variable_substitution(b.build())
-        rep = result.var_to_rep
+        rep = result.substitution.var_to_rep
         assert rep[p] == rep[q] == rep[r]
 
 
@@ -92,8 +99,8 @@ class TestProtection:
         b.assign(x, p)
         b.assign(y, p)  # x and y get identical flow but are address-taken
         result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[x] == x
-        assert result.var_to_rep[y] == y
+        assert result.substitution.var_to_rep[x] == x
+        assert result.substitution.var_to_rep[y] == y
 
     def test_function_block_never_merged(self):
         b = ConstraintBuilder()
@@ -102,7 +109,7 @@ class TestProtection:
         b.assign(f.params[0], p)
         b.assign(b.var("q"), p)
         result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[f.params[0]] == f.params[0]
+        assert result.substitution.var_to_rep[f.params[0]] == f.params[0]
 
     def test_loaded_values_not_overmerged(self):
         """Loads through different pointers must stay distinct."""
@@ -114,7 +121,7 @@ class TestProtection:
         b.load(u, p)
         b.load(v, q)
         result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[u] != result.var_to_rep[v]
+        assert result.substitution.var_to_rep[u] != result.substitution.var_to_rep[v]
 
 
 class TestDeadConstraintElimination:
@@ -182,6 +189,56 @@ class TestSolutionPreservation:
         q = b.var("q")
         b.assign(q, p)
         result = offline_variable_substitution(b.build())
-        assert result.merged_count() >= 0
+        assert result.substitution.var_to_rep[q] == p
+        assert result.merged_count() == 1
         solution = result.expand(solve(result.reduced, "naive"))
-        assert solution.points_to(q) == solution.points_to(q)
+        assert solution.points_to(q) == {x}
+
+
+class TestSharedHURules:
+    """OVS runs HU's label pass, pointer classes and rewrite, so it
+    follows HU's merge, deletion and provenance rules."""
+
+    def test_copy_joins_an_address_taken_class(self):
+        """``q = x`` with ``x`` address-taken: ``x`` keeps its node and
+        ``q`` adopts it as representative."""
+        b = ConstraintBuilder()
+        p, x, q = b.var("p"), b.var("x"), b.var("q")
+        b.address_of(p, x)
+        b.assign(q, x)
+        result = offline_variable_substitution(b.build())
+        assert result.substitution.var_to_rep[q] == x
+        assert result.substitution.var_to_rep[x] == x
+
+    def test_store_of_empty_value_dropped(self):
+        b = ConstraintBuilder()
+        p, x, e = b.var("p"), b.var("x"), b.var("e")
+        b.address_of(p, x)
+        b.store(p, e)  # *p = e, and e points nowhere
+        result = offline_variable_substitution(b.build())
+        assert all(c.kind is not ConstraintKind.STORE for c in result.reduced)
+
+    def test_rewritten_constraints_keep_provenance(self):
+        source = (CORPUS / "buggy" / "dangling_heap.c").read_text()
+        system = generate_constraints(source).system
+        result = offline_variable_substitution(system)
+        assert len(result.reduced) > 0
+        assert all(c.prov is not None for c in result.reduced.constraints)
+
+    @given(system=constraint_systems())
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_hu_refines_ovs(self, system):
+        """HU's later rounds and location equivalence only add merges and
+        deletions to what OVS finds, and both keep the solution."""
+        ovs = offline_variable_substitution(system)
+        hu = hvn_reduce(system)
+        ovs_rep = ovs.substitution.var_to_rep
+        hu_rep = hu.substitution.var_to_rep
+        for var, rep in enumerate(ovs_rep):
+            assert hu_rep[var] == hu_rep[rep], (var, rep)
+        assert len(hu.reduced) <= len(ovs.reduced)
+        assert ovs.passes == 1
+        assert ovs.expand(solve(ovs.reduced, "naive")) == solve(system, "naive")

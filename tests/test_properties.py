@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.constraints.parser import dumps_constraints, loads_constraints
 from repro.preprocess.hcd_offline import hcd_offline_analysis
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import offline_variable_substitution
 from repro.solvers.hcd import HCDSolver
 from repro.solvers.lcd import LCDSolver
 from repro.solvers.registry import solve

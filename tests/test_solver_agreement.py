@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from conftest import random_system
 from repro.contexts import K_LEVELS
 from repro.points_to.interface import FAMILY_KINDS
-from repro.preprocess.hvn import OPT_STAGES
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import OPT_STAGES, offline_variable_substitution
 from repro.solvers.registry import all_solvers, available_solvers, make_solver, solve
 from repro.workloads import generate_workload
 from strategies import constraint_systems, k_levels, opt_stages, pts_families

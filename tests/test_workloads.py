@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constraints.model import ConstraintKind
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import offline_variable_substitution
 from repro.workloads.profiles import BENCHMARK_ORDER, BENCHMARKS, default_scale
 from repro.workloads.synthetic import generate_workload
 
