@@ -9,7 +9,7 @@ constraints by 60-77%", taking under a second to a few seconds).
 
 import pytest
 
-from conftest import SCALE, emit_table, workload
+from conftest import SCALE, emit_table
 from repro.constraints.model import ConstraintKind
 from repro.metrics.reporting import Table
 from repro.preprocess.hvn import offline_variable_substitution

@@ -38,7 +38,7 @@ from repro.checkers import Severity, run_checkers
 from repro.contexts import K_LEVELS
 from repro.frontend.generator import generate_constraints
 from repro.metrics.reporting import Table, geometric_mean
-from repro.solvers.registry import make_solver, solve
+from repro.solvers.registry import make_solver
 from repro.workloads import expected_bug_findings
 
 ALGORITHM = "lcd+hcd"

@@ -544,13 +544,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(
         f"OVS: {len(system)} -> {len(ovs.reduced)} constraints "
         f"({ovs.reduction_ratio:.0%} reduction, "
-        f"{ovs.merged_count()} variables substituted)"
+        f"{ovs.merged_count()} variables merged)"
     )
     hu = preprocess_system(system, "hu")
     print(
         f"HU: {len(system)} -> {len(hu.reduced)} constraints "
         f"({hu.reduction_ratio:.0%} reduction, "
-        f"{hu.merged_count()} variables substituted, "
+        f"{hu.merged_count()} variables merged, "
         f"{hu.locations_merged()} locations merged, "
         f"{hu.passes} passes)"
     )

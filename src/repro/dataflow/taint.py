@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintSystem
-from repro.dataflow.engine import DataflowStats, UnionDataflow
+from repro.dataflow.engine import DataflowStats
 from repro.dataflow.events import TaintSink, TaintSource
 from repro.dataflow.valueflow import build_value_flow
 from repro.datastructs.intset import iter_bits

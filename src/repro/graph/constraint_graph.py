@@ -8,7 +8,7 @@ set and complex-constraint index.
 
 Locations (the elements *inside* points-to sets) are variable ids of the
 system being solved — compact ids after ``--opt ovs|hu``, which renumbers
-the reduced system (see :func:`repro.preprocess.hvn.compact_system`).
+the reduced system (see :func:`repro.preprocess.hvn.preprocess_system`).
 Collapsing merges solver state, not memory locations, and the
 function-block offset arithmetic of indirect calls must keep working on the
 block layout, so set contents are never rewritten.  Graph-level lookups

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from repro.bdd.domain import Domain, DomainAllocator
 from repro.bdd.manager import FALSE, BDDManager
-from repro.points_to.interface import PointsToFamily, PointsToSet
+from repro.points_to.interface import PointsToFamily
 
 
 class BDDPointsToSet:

@@ -6,7 +6,7 @@ import weakref
 from typing import Iterator
 
 from repro.datastructs.sparse_bitmap import SparseBitmap
-from repro.points_to.interface import PointsToFamily, PointsToSet
+from repro.points_to.interface import PointsToFamily
 
 
 class BitmapPointsToSet:

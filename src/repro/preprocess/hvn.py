@@ -48,8 +48,17 @@ extra state through one pass:
   merges.  The substitution map re-expands set contents at export time.
 
 Each round is plain, independently-sound HU on the current system,
-so soundness composes by induction; rounds after the first run on a
-system ~10x smaller, so the fixpoint costs little more than one pass.
+so soundness composes by induction.  Round 1 sees every id of the
+input; the rounds after it run in a compact id space holding only the
+ids round 1's output reaches (plus whole blocks), typically ~10x
+smaller, so the fixpoint costs little more than one pass.
+
+The rounds work on plain rows ``(kind code, dst, src, offset, prov)``
+rather than :class:`Constraint` objects: kind tests are int compares
+and dedup keys are plain tuples (``ConstraintKind.__hash__`` runs as
+Python code), and no round builds a :class:`ConstraintSystem`.  Each
+stage validates its output once, when it builds its one system from the
+final rows.
 
 Label sets are Python bignums (one bit per label), like the ``int``
 points-to family's sets: unions are single ``|`` expressions and
@@ -58,9 +67,10 @@ cheap enough that HU pays for itself even on small inputs.
 
 Everything is exposed as a composable pipeline stage: see
 :func:`preprocess_system` and :data:`OPT_STAGES` for the
-``--opt none|ovs|hu`` chain the solvers and the CLI consume,
+``--opt none|ovs|hu`` chain the solvers and the CLI consume (its result
+is renumbered into the stage's compact id space),
 :func:`offline_variable_substitution` and :func:`hvn_reduce` for the two
-stages, :func:`compact_system` for the renumbering that ends them, and
+stages with their reduction in the original id space, and
 :class:`SubstitutionMap` for the contract that maps solutions of the
 reduced system back onto the original variable space.
 """
@@ -68,6 +78,7 @@ reduced system back onto the original variable space.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -78,6 +89,7 @@ from repro.constraints.model import (
     ConstraintSystem,
     FunctionInfo,
     ObjectBlock,
+    Provenance,
 )
 from repro.graph.scc import tarjan_scc
 
@@ -93,6 +105,18 @@ OPT_STAGES: Tuple[str, ...] = ("none", "ovs", "hu")
 #: systems converge in 3-4 rounds; the bound only guards against
 #: pathological ping-ponging.
 _MAX_ROUNDS = 8
+
+#: A constraint as the rounds see it: ``(code, dst, src, offset, prov)``,
+#: where ``code`` is the kind's index in :data:`_KINDS`.
+_Row = Tuple[int, int, int, int, Optional[Provenance]]
+_KINDS: Tuple[ConstraintKind, ...] = (
+    ConstraintKind.BASE,
+    ConstraintKind.COPY,
+    ConstraintKind.LOAD,
+    ConstraintKind.STORE,
+    ConstraintKind.OFFS,
+)
+_BASE, _COPY, _LOAD, _STORE, _OFFS = range(len(_KINDS))
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +166,16 @@ class SubstitutionMap:
         )
 
     def merged_var_count(self) -> int:
-        """Variables whose online node was substituted away."""
+        """Original variables with no node of their own in the reduced
+        system.
+
+        With ``original_ids`` that is every variable outside the compact
+        id space: ``len(var_to_rep) - len(original_ids)``.  A map over
+        the original id space counts the variables substituted by
+        another representative.
+        """
+        if self.original_ids is not None:
+            return len(self.var_to_rep) - len(self.original_ids)
         return sum(1 for var, rep in enumerate(self.var_to_rep) if rep != var)
 
     def merged_location_count(self) -> int:
@@ -188,6 +221,17 @@ class PreprocessResult:
         return 1.0 - len(self.reduced) / before
 
     def merged_count(self) -> int:
+        """Original variables with no node of their own after the stage.
+
+        That is ``original.num_vars`` minus the size of the stage's
+        compact id space.  A reduction kept in the original id space
+        (:func:`hvn_reduce`, :func:`offline_variable_substitution`)
+        counts the same ids: those outside its live closure.  ``none``
+        merges nothing.
+        """
+        if self.substitution.original_ids is None and self.stage != "none":
+            live = _live_ids(_rows(self.reduced), _block_sizes(self.reduced))
+            return self.original.num_vars - len(live)
         return self.substitution.merged_var_count()
 
     def locations_merged(self) -> int:
@@ -202,29 +246,59 @@ class PreprocessResult:
 
 
 # ----------------------------------------------------------------------
-# Structural facts about one system (recomputed per round)
+# Rows and id spaces
 # ----------------------------------------------------------------------
 
 
-class _Structure:
-    """Round-invariant facts about the current constraint system."""
+def _rows(system: ConstraintSystem) -> List[_Row]:
+    code = _KINDS.index
+    return [(code(c.kind), c.dst, c.src, c.offset, c.prov) for c in system.constraints]
 
-    def __init__(self, system: ConstraintSystem) -> None:
-        num_vars = system.num_vars
-        self.num_vars = num_vars
-        #: Indirect variables: writable through channels the offline graph
-        #: cannot see (indirect stores, offset stores into blocks).  They
-        #: receive fresh labels and are never substituted away.
-        self.protected: Set[int] = set(system.address_taken())
-        #: Ids inside any function/object block: offset arithmetic
-        #: addresses them relative to the block base, so neither their
-        #: node nor their location identity may move.
-        self.block_members: Set[int] = set()
-        for info in system.functions.values():
-            self.block_members.update(range(info.node, info.node + info.block_size))
-        for block in system.object_blocks.values():
-            self.block_members.update(range(block.node, block.node + block.block_size))
-        self.protected |= self.block_members
+
+def _block_sizes(system: ConstraintSystem) -> Dict[int, int]:
+    """Base id -> block size of every function and object block."""
+    sizes = {node: info.block_size for node, info in system.functions.items()}
+    sizes.update(
+        (node, block.block_size) for node, block in system.object_blocks.items()
+    )
+    return sizes
+
+
+def _live_ids(rows: Sequence[_Row], blocks: Dict[int, int]) -> List[int]:
+    """The ids ``rows`` can reach, ascending.
+
+    That is every id a row mentions, plus every whole block holding one:
+    offset arithmetic addresses a block from its base, so a block moves
+    as a unit and keeps its size.
+    """
+    live: Set[int] = set()
+    for _, dst, src, _, _ in rows:
+        live.add(dst)
+        live.add(src)
+    for node, size in blocks.items():
+        span = range(node, node + size)
+        if not live.isdisjoint(span):
+            live.update(span)
+    return sorted(live)
+
+
+def _renumber(
+    rows: Sequence[_Row], blocks: Dict[int, int], ids: Sequence[int]
+) -> Tuple[List[_Row], Dict[int, int]]:
+    """Move ``rows`` and ``blocks`` onto the space of ``ids`` (ascending),
+    where id ``ids[i]`` becomes ``i``.
+
+    Ids keep their order, so every tie-break a later pass or solver takes
+    by id falls the same way, and rows keep theirs, so row indices carry
+    over.
+    """
+    new_id = {old: new for new, old in enumerate(ids)}
+    moved = [
+        (code, new_id[dst], new_id[src], offset, prov)
+        for code, dst, src, offset, prov in rows
+    ]
+    moved_blocks = {new_id[node]: size for node, size in blocks.items() if node in new_id}
+    return moved, moved_blocks
 
 
 # ----------------------------------------------------------------------
@@ -233,83 +307,59 @@ class _Structure:
 
 
 def _label_pass(
-    system: ConstraintSystem,
-    structure: _Structure,
-    armed_stores: Optional[Set[int]] = None,
+    rows: Sequence[_Row], num_vars: int, protected: Set[int], armed: Set[int]
 ) -> List[int]:
-    """Compute one label bitset per variable of ``system``.
+    """Compute one label bitset per variable of a ``num_vars``-id space.
 
     Label bit space: ``[0, num_vars)`` are interned location labels (bit
     ``l`` is the ADR label of location ``l``), ``[num_vars, 2*num_vars)``
-    are the fresh labels of indirect variables, and bits above that are
-    ref-node fresh labels.
+    are the fresh labels of indirect (``protected``) variables, and bits
+    above that are ref-node fresh labels.
 
-    ``armed_stores`` lists constraint indices of STOREs proven to fire
-    (their pointer provably reaches a location the offset is valid for);
-    those — and only those — contribute an edge into the target ref
-    node, because only then is ``loadval(p,k) ⊇ pts(src)`` guaranteed
-    and the ref's label still an exact union decomposition.
+    ``armed`` lists row indices of STOREs proven to fire (their pointer
+    provably reaches a location the offset is valid for); those — and
+    only those — contribute an edge into the target ref node, because
+    only then is ``loadval(p,k) ⊇ pts(src)`` guaranteed and the ref's
+    label still an exact union decomposition.
     """
-    num_vars = structure.num_vars
-
-    ref_ids: Dict[Tuple[str, int, int], int] = {}
-
-    def ref_node(tag: str, var: int, offset: int) -> int:
-        key = (tag, var, offset)
-        node = ref_ids.get(key)
-        if node is None:
-            node = num_vars + len(ref_ids)
-            ref_ids[key] = node
-        return node
-
-    preds: Dict[int, List[int]] = {}
-    succs: Dict[int, List[int]] = {}
-
-    def add_edge(src: int, dst: int) -> None:
-        preds.setdefault(dst, []).append(src)
-        succs.setdefault(src, []).append(dst)
-
-    for index, constraint in enumerate(system.constraints):
-        kind = constraint.kind
-        if kind is ConstraintKind.COPY:
-            if constraint.src != constraint.dst:
-                add_edge(constraint.src, constraint.dst)
-        elif kind is ConstraintKind.LOAD:
-            add_edge(ref_node("ref", constraint.src, constraint.offset), constraint.dst)
-        elif kind is ConstraintKind.OFFS:
-            # A shifted copy: pts(dst) = pts(src)+k is opaque to the
-            # label calculus, but two shifts of the same source at the
-            # same offset are equivalent — model each as a ref node.
-            add_edge(ref_node("off", constraint.src, constraint.offset), constraint.dst)
-        elif kind is ConstraintKind.STORE:
+    ref_ids: Dict[Tuple[int, int, int], int] = {}
+    preds: Dict[int, List[int]] = defaultdict(list)
+    succs: Dict[int, List[int]] = defaultdict(list)
+    own_bits = [0] * num_vars
+    for index, (code, dst, src, offset, _) in enumerate(rows):
+        if code == _BASE:
+            own_bits[dst] |= 1 << src
+            continue
+        if code == _COPY:
+            if src == dst:
+                continue
+        elif code == _STORE:
             # Unproven stores contribute no edges (see the module
             # docstring): the target refs' fresh labels cover them.
-            if armed_stores is not None and index in armed_stores:
-                add_edge(
-                    constraint.src,
-                    ref_node("ref", constraint.dst, constraint.offset),
-                )
+            if index not in armed:
+                continue
+            dst = ref_ids.setdefault((_LOAD, dst, offset), num_vars + len(ref_ids))
+        else:
+            # A LOAD reads the ref node *(src+k).  An OFFS is a shifted
+            # copy: pts(dst) = pts(src)+k is opaque to the label calculus,
+            # but two shifts of the same source at the same offset are
+            # equivalent — model each as a ref node of its own kind.
+            src = ref_ids.setdefault((code, src, offset), num_vars + len(ref_ids))
+        preds[dst].append(src)
+        succs[src].append(dst)
 
-    node_count = num_vars + len(ref_ids)
-    fresh_base = 2 * num_vars
-
-    own_bits = [0] * node_count
-    for constraint in system.constraints:
-        if constraint.kind is ConstraintKind.BASE:
-            own_bits[constraint.dst] |= 1 << constraint.src
-    for var in structure.protected:
+    for var in protected:
         own_bits[var] |= 1 << (num_vars + var)
-    for index in range(len(ref_ids)):
-        own_bits[num_vars + index] |= 1 << (fresh_base + index)
+    fresh_base = 2 * num_vars
+    own_bits.extend(1 << (fresh_base + index) for index in range(len(ref_ids)))
 
     def successors(node: int) -> Sequence[int]:
         return succs.get(node, ())
 
-    # Condense only nodes that have edges: everything else (orphans of
-    # earlier rounds, plain BASE destinations) keeps its own-bits label,
-    # which keeps later rounds' SCC cost proportional to the *live*
-    # system, not the original id space.  Tarjan emits components
-    # sinks-first; propagation wants sources first, i.e. the reverse.
+    # Condense only nodes that have edges: everything else (plain BASE
+    # destinations, ids no row mentions) keeps its own-bits label.
+    # Tarjan emits components sinks-first; propagation wants sources
+    # first, i.e. the reverse.
     components = tarjan_scc(sorted(preds.keys() | succs.keys()), successors)
 
     # Symbolic evaluation: a node's label set is the union of its
@@ -330,12 +380,14 @@ def _label_pass(
 
 
 # ----------------------------------------------------------------------
-# One reduce round: labels -> merges -> rewritten system
+# One reduce round: labels -> merges -> rewritten rows
 # ----------------------------------------------------------------------
 
 
-def _armed_stores(system: ConstraintSystem, labels: Sequence[int]) -> Set[int]:
-    """Indices of STORE constraints proven to fire under ``labels``.
+def _armed_stores(
+    rows: Sequence[_Row], labels: Sequence[int], blocks: Dict[int, int]
+) -> Set[int]:
+    """Indices of STORE rows proven to fire under ``labels``.
 
     An ADR bit travels only along edges whose delivery is unconditional,
     so a location bit in the pointer's label is a guaranteed member of
@@ -346,28 +398,26 @@ def _armed_stores(system: ConstraintSystem, labels: Sequence[int]) -> Set[int]:
     previous round's labels remain valid evidence).
     """
     armed: Set[int] = set()
-    loc_mask = (1 << system.num_vars) - 1
-    max_offset = system.max_offset
-    for index, constraint in enumerate(system.constraints):
-        if constraint.kind is not ConstraintKind.STORE:
+    loc_mask = (1 << len(labels)) - 1
+    for index, (code, dst, _, offset, _) in enumerate(rows):
+        if code != _STORE:
             continue
-        bits = labels[constraint.dst] & loc_mask
+        bits = labels[dst] & loc_mask
         if not bits:
             continue
-        offset = constraint.offset
         if offset == 0:
             armed.add(index)
             continue
-        while bits:  # any witness location the offset stays inside?
+        while bits:  # any witness block base the offset stays inside?
             witness = (bits & -bits).bit_length() - 1
-            if max_offset[witness] >= offset:
+            if blocks.get(witness, 0) > offset:
                 armed.add(index)
                 break
             bits &= bits - 1
     return armed
 
 
-def _pointer_classes(structure: _Structure, labels: Sequence[int]) -> List[int]:
+def _pointer_classes(labels: Sequence[int], protected: Set[int]) -> List[int]:
     """Map each variable to its pointer-equivalence representative.
 
     Equal labels prove equal points-to sets.  Indirect variables keep
@@ -375,20 +425,20 @@ def _pointer_classes(structure: _Structure, labels: Sequence[int]) -> List[int]:
     classes: an unprotected variable with the same label as a protected
     one can adopt it as representative.
     """
-    var_to_rep = list(range(structure.num_vars))
+    var_to_rep = list(range(len(labels)))
     class_rep: Dict[int, int] = {}
-    for var in range(structure.num_vars):
-        rep = class_rep.setdefault(labels[var], var)
-        if rep != var and var not in structure.protected:
+    for var, label in enumerate(labels):
+        rep = class_rep.setdefault(label, var)
+        if rep != var and var not in protected:
             var_to_rep[var] = rep
     return var_to_rep
 
 
 def _location_classes(
-    system: ConstraintSystem,
-    structure: _Structure,
+    rows: Sequence[_Row],
     labels: Sequence[int],
     var_to_rep: List[int],
+    block_members: Set[int],
 ) -> List[int]:
     """Location equivalence: fold each class of locations onto one id.
 
@@ -404,14 +454,14 @@ def _location_classes(
     neither produce nor target them and every offset filter treats a
     class uniformly.  Returns the location map.
     """
-    num_vars = structure.num_vars
+    num_vars = len(labels)
     adr_dests: Dict[int, Set[int]] = {}  # loc -> BASE destinations taking its address
-    for constraint in system.constraints:
-        if constraint.kind is ConstraintKind.BASE:
-            adr_dests.setdefault(constraint.src, set()).add(constraint.dst)
+    for code, dst, src, _, _ in rows:
+        if code == _BASE:
+            adr_dests.setdefault(src, set()).add(dst)
     loc_rep = list(range(num_vars))
     class_by_key: Dict[Tuple[frozenset, int], int] = {}
-    for loc in sorted(adr_dests.keys() - structure.block_members):
+    for loc in sorted(adr_dests.keys() - block_members):
         uses = frozenset(labels[dst] for dst in adr_dests[loc])
         masked = labels[loc] & ~(1 << (num_vars + loc))
         rep = class_by_key.setdefault((uses, masked), loc)
@@ -421,8 +471,8 @@ def _location_classes(
 
     # A pointer-equivalence representative may itself have been folded
     # by location equivalence; compress chains so the rewrite lands
-    # every constraint on the final representative (chains have length
-    # at most 2 and no cycles: LE representatives are never re-mapped).
+    # every row on the final representative (chains have length at most
+    # 2 and no cycles: LE representatives are never re-mapped).
     for var in range(num_vars):
         rep = var_to_rep[var]
         if var_to_rep[rep] != rep:
@@ -430,28 +480,143 @@ def _location_classes(
     return loc_rep
 
 
-def _reduce_round(
-    system: ConstraintSystem, armed: Optional[Set[int]] = None
-) -> Tuple[ConstraintSystem, List[int], List[int], bool, List[int]]:
-    """Run one label pass and rewrite the system over the merges found.
+def _rewrite(
+    rows: Sequence[_Row],
+    labels: Sequence[int],
+    var_to_rep: Sequence[int],
+    loc_rep: Sequence[int],
+) -> List[_Row]:
+    """Substitute representatives and delete provably-dead rows.
+
+    A label set of 0 proves an always-empty points-to set: copies and
+    offset-copies from such a variable can never act, loads and stores
+    through such a pointer can never fire, and stores *of* such a value
+    write nothing — all are deleted outright (the HU detection).  Rows
+    keep their order and provenance; a duplicate keeps the first.
+    """
+    reduced: List[_Row] = []
+    seen: Set[Tuple[int, int, int, int]] = set()
+    for code, dst, src, offset, prov in rows:
+        if code == _BASE:
+            key = (code, var_to_rep[dst], loc_rep[src], 0)
+        elif not labels[src] or (code == _STORE and not labels[dst]):
+            continue
+        else:
+            dst = var_to_rep[dst]
+            src = var_to_rep[src]
+            if code == _COPY and dst == src:
+                continue
+            key = (code, dst, src, offset)
+        if key not in seen:
+            seen.add(key)
+            reduced.append((*key, prov))
+    return reduced
+
+
+def _round(
+    rows: Sequence[_Row],
+    num_vars: int,
+    blocks: Dict[int, int],
+    armed: Set[int],
+    fold_locations: bool,
+) -> Tuple[List[_Row], List[int], Sequence[int], List[int]]:
+    """Run one label pass over ``rows`` and rewrite them over the merges
+    found.
 
     ``armed`` carries store-arming evidence from the previous round's
-    labels (None on the first round).  Returns ``(reduced, var_to_rep,
-    loc_rep, changed, labels)`` where the maps cover this round only and
-    ``changed`` reports whether anything (merge *or* constraint
-    deletion) happened.
+    labels (empty on the first round); location equivalence runs only
+    when ``fold_locations``.  Returns ``(rows, var_to_rep, loc_rep,
+    labels)``, where the maps cover this space and this round only.
     """
-    structure = _Structure(system)
-    labels = _label_pass(system, structure, armed)
-    var_to_rep = _pointer_classes(structure, labels)
-    loc_rep = _location_classes(system, structure, labels, var_to_rep)
-    reduced_constraints = _rewrite(system, labels, var_to_rep, loc_rep)
-    # Progress test: merges among variables the constraints no longer
-    # mention are invisible (already-substituted orphans all share the
-    # empty label), so convergence is "the rewrite reproduced its input".
-    changed = reduced_constraints != list(system.constraints)
-    reduced = system.with_constraints(reduced_constraints)
-    return reduced, var_to_rep, loc_rep, changed, labels
+    # Ids inside any function/object block: offset arithmetic addresses
+    # them relative to the block base, so neither their node nor their
+    # location identity may move.
+    members = {var for node, size in blocks.items() for var in range(node, node + size)}
+    # Indirect variables: writable through channels the offline graph
+    # cannot see (indirect stores, offset stores into blocks).  They
+    # receive fresh labels and are never substituted away.
+    protected = members.union(src for code, _, src, _, _ in rows if code == _BASE)
+    labels = _label_pass(rows, num_vars, protected, armed)
+    var_to_rep = _pointer_classes(labels, protected)
+    loc_rep: Sequence[int] = range(num_vars)
+    if fold_locations:
+        loc_rep = _location_classes(rows, labels, var_to_rep, members)
+    return _rewrite(rows, labels, var_to_rep, loc_rep), var_to_rep, loc_rep, labels
+
+
+def _run_rounds(
+    system: ConstraintSystem, stage: str
+) -> Tuple[List[_Row], List[int], List[int], Dict[int, Tuple[int, ...]], int]:
+    """Run the rounds of ``stage`` (``ovs`` or ``hu``) over the rows of
+    ``system``.
+
+    Returns what they leave, before any system is built: the final rows
+    over the stage's compact id space, the original id of each compact
+    id (ascending), ``var_to_rep``, ``loc_members`` and the round count.
+
+    OVS is one round without location equivalence.  HU repeats rounds
+    until the rows and the armed stores are stable.  Its first round
+    runs over every id of ``system``; the rows then move to the ids that
+    round left reachable (:func:`_live_ids`), and the later rounds run
+    there.  An id that leaves the space keeps the representative round 1
+    gave it: nothing mentions it any more, so its set is empty.
+    """
+    num_vars = system.num_vars
+    blocks = _block_sizes(system)
+    rows = _rows(system)
+    hu = stage == "hu"
+    reduced, var_to_rep, loc_rep, labels = _round(rows, num_vars, blocks, set(), hu)
+    passes = 1
+    ids: Sequence[int] = range(num_vars)
+    loc_members: Dict[int, Tuple[int, ...]] = {}
+    if hu:
+        # Progress test: merges among variables the rows no longer
+        # mention are invisible, so convergence is "the rewrite
+        # reproduced its input".  Fixpoint needs *both* the rows and the
+        # armed set stable: fresh labels can prove new stores even when
+        # no row changed.  Each round arms the next one's stores from its
+        # own labels; the renumbering keeps row order, so the indices
+        # carry over.
+        changed = reduced != rows
+        armed = _armed_stores(reduced, labels, blocks)
+        ids = _live_ids(reduced, blocks)
+        rows, blocks = _renumber(reduced, blocks, ids)
+        space_var_rep = list(range(len(ids)))
+        space_loc_rep = list(range(len(ids)))
+        previous: Set[int] = set()
+        while (changed or armed != previous) and passes < _MAX_ROUNDS:
+            passes += 1
+            reduced, round_var_rep, round_loc_rep, labels = _round(
+                rows, len(ids), blocks, armed, True
+            )
+            space_var_rep = [round_var_rep[rep] for rep in space_var_rep]
+            space_loc_rep = [round_loc_rep[rep] for rep in space_loc_rep]
+            changed = reduced != rows
+            previous, armed = armed, _armed_stores(reduced, labels, blocks)
+            rows = reduced
+        # Compose round 1's maps with the later rounds' through the
+        # renumbering: a round-1 representative the later rounds moved.
+        moved = {ids[c]: ids[rep] for c, rep in enumerate(space_var_rep) if rep != c}
+        var_to_rep = [moved.get(rep, rep) for rep in var_to_rep]
+        moved = {ids[c]: ids[rep] for c, rep in enumerate(space_loc_rep) if rep != c}
+        loc_rep = [moved.get(rep, rep) for rep in loc_rep]
+        # A location representative is the smallest member of its class
+        # and maps to itself.
+        members_of: Dict[int, List[int]] = {}
+        for loc, rep in enumerate(loc_rep):
+            if rep != loc:
+                members_of.setdefault(rep, [rep]).append(loc)
+        loc_members = {rep: tuple(members) for rep, members in members_of.items()}
+    else:
+        rows = reduced
+    final = _live_ids(rows, blocks)
+    rows, _ = _renumber(rows, blocks, final)
+    return rows, [ids[c] for c in final], var_to_rep, loc_members, passes
+
+
+# ----------------------------------------------------------------------
+# The two stages, and the pipeline dispatcher
+# ----------------------------------------------------------------------
 
 
 def hvn_reduce(system: ConstraintSystem) -> PreprocessResult:
@@ -462,49 +627,10 @@ def hvn_reduce(system: ConstraintSystem) -> PreprocessResult:
     their ref nodes, and makes merged locations *the same ADR label*,
     which equalizes their users — each round therefore unlocks merges
     the previous one could not see (the paper's HR/LE cascade).
+    Returns the reduced system in the original id space;
+    :func:`preprocess_system` returns it renumbered instead.
     """
-    start = time.perf_counter()
-    num_vars = system.num_vars
-
-    current = system
-    total_var_to_rep = list(range(num_vars))
-    total_loc_rep = list(range(num_vars))
-    passes = 0
-    armed: Optional[Set[int]] = None
-    while passes < _MAX_ROUNDS:
-        passes += 1
-        current, var_to_rep, loc_rep, changed, labels = _reduce_round(
-            current, armed
-        )
-        for var in range(num_vars):
-            total_var_to_rep[var] = var_to_rep[total_var_to_rep[var]]
-            total_loc_rep[var] = loc_rep[total_loc_rep[var]]
-        # Arm the next round's stores from this round's labels (witnesses
-        # survive the rewrite — block bases are never merged).  Fixpoint
-        # needs *both* the constraints and the armed set stable: fresh
-        # labels can prove new stores even when no constraint changed.
-        next_armed = _armed_stores(current, labels)
-        if not changed and next_armed == (armed or set()):
-            break
-        armed = next_armed
-
-    loc_members: Dict[int, Tuple[int, ...]] = {}
-    members_of: Dict[int, List[int]] = {}
-    for loc in range(num_vars):
-        members_of.setdefault(total_loc_rep[loc], []).append(loc)
-    for rep, members in members_of.items():
-        if len(members) > 1:
-            loc_members[rep] = tuple(sorted(members))
-
-    elapsed = time.perf_counter() - start
-    return PreprocessResult(
-        stage="hu",
-        original=system,
-        reduced=current,
-        substitution=SubstitutionMap(total_var_to_rep, loc_members),
-        offline_seconds=elapsed,
-        passes=passes,
-    )
+    return _in_original_space(system, "hu")
 
 
 def offline_variable_substitution(system: ConstraintSystem) -> PreprocessResult:
@@ -516,101 +642,27 @@ def offline_variable_substitution(system: ConstraintSystem) -> PreprocessResult:
     ``loc_members``.  Like :func:`hvn_reduce` it returns the reduced
     system in the original id space.
     """
+    return _in_original_space(system, "ovs")
+
+
+def _in_original_space(system: ConstraintSystem, stage: str) -> PreprocessResult:
+    """Run ``stage`` and build its final rows over the original ids."""
     start = time.perf_counter()
-    structure = _Structure(system)
-    labels = _label_pass(system, structure)
-    var_to_rep = _pointer_classes(structure, labels)
-    identity = list(range(system.num_vars))
-    reduced = system.with_constraints(_rewrite(system, labels, var_to_rep, identity))
+    rows, ids, var_to_rep, loc_members, passes = _run_rounds(system, stage)
+    reduced = system.with_constraints(
+        [
+            Constraint(_KINDS[code], ids[dst], ids[src], offset, prov)
+            for code, dst, src, offset, prov in rows
+        ]
+    )
     return PreprocessResult(
-        stage="ovs",
+        stage=stage,
         original=system,
         reduced=reduced,
-        substitution=SubstitutionMap(var_to_rep),
+        substitution=SubstitutionMap(var_to_rep, loc_members),
         offline_seconds=time.perf_counter() - start,
+        passes=passes,
     )
-
-
-# ----------------------------------------------------------------------
-# Constraint rewriting
-# ----------------------------------------------------------------------
-
-
-def _rewrite(
-    system: ConstraintSystem,
-    labels: Sequence[int],
-    var_to_rep: Sequence[int],
-    loc_rep: Sequence[int],
-) -> List[Constraint]:
-    """Substitute representatives and delete provably-dead constraints.
-
-    A label set of 0 proves an always-empty points-to set: copies and
-    offset-copies from such a variable can never act, loads and stores
-    through such a pointer can never fire, and stores *of* such a value
-    write nothing — all are deleted outright (the HU detection).
-    """
-    reduced: List[Constraint] = []
-    seen: Set[Tuple] = set()
-
-    def emit(kind: ConstraintKind, dst: int, src: int, offset: int, prov) -> None:
-        key = (kind, dst, src, offset)
-        if key not in seen:
-            seen.add(key)
-            reduced.append(Constraint(kind, dst, src, offset, prov))
-
-    for constraint in system.constraints:
-        kind = constraint.kind
-        if kind is ConstraintKind.BASE:
-            emit(
-                kind,
-                var_to_rep[constraint.dst],
-                loc_rep[constraint.src],
-                0,
-                constraint.prov,
-            )
-        elif kind is ConstraintKind.COPY:
-            if not labels[constraint.src]:
-                continue
-            dst = var_to_rep[constraint.dst]
-            src = var_to_rep[constraint.src]
-            if dst != src:
-                emit(kind, dst, src, 0, constraint.prov)
-        elif kind is ConstraintKind.LOAD:
-            if not labels[constraint.src]:
-                continue
-            emit(
-                kind,
-                var_to_rep[constraint.dst],
-                var_to_rep[constraint.src],
-                constraint.offset,
-                constraint.prov,
-            )
-        elif kind is ConstraintKind.STORE:
-            if not labels[constraint.dst] or not labels[constraint.src]:
-                continue
-            emit(
-                kind,
-                var_to_rep[constraint.dst],
-                var_to_rep[constraint.src],
-                constraint.offset,
-                constraint.prov,
-            )
-        else:  # OFFS
-            if not labels[constraint.src]:
-                continue
-            emit(
-                kind,
-                var_to_rep[constraint.dst],
-                var_to_rep[constraint.src],
-                constraint.offset,
-                constraint.prov,
-            )
-    return reduced
-
-
-# ----------------------------------------------------------------------
-# The pipeline dispatcher
-# ----------------------------------------------------------------------
 
 
 def preprocess_system(
@@ -620,11 +672,12 @@ def preprocess_system(
 
     ``opt`` is one of :data:`OPT_STAGES`; every stage (including
     ``"none"``) returns the same result shape, so callers compose the
-    pipeline without caring which stage ran.  ``ovs`` and ``hu`` end by
-    renumbering the reduced system into its own compact id space (see
-    :func:`compact_system`), so every later stage is sized by what the
-    reduction left, not by the input; ``none`` returns ``system`` itself.
-    ``ovs`` and ``hu`` run once per system object (``system.derived``).
+    pipeline without caring which stage ran.  ``ovs`` and ``hu`` return
+    the reduced system renumbered into its own compact id space (the ids
+    its constraints reach, plus whole blocks, in original order), so
+    every later stage is sized by what the reduction left, not by the
+    input; ``none`` returns ``system`` itself.  ``ovs`` and ``hu`` run
+    once per system object (``system.derived``).
     """
     if opt not in OPT_STAGES:
         known = ", ".join(OPT_STAGES)
@@ -642,67 +695,44 @@ def preprocess_system(
 
 
 def _run_stage(system: ConstraintSystem, opt: str) -> PreprocessResult:
-    """Run ``ovs`` or ``hu`` on ``system`` and compact what it leaves."""
-    if opt == "ovs":
-        pre = offline_variable_substitution(system)
-    else:
-        pre = hvn_reduce(system)
+    """Run ``ovs`` or ``hu`` on ``system`` and build its final rows as a
+    system over the stage's compact id space."""
     start = time.perf_counter()
-    pre.reduced, pre.substitution.original_ids = compact_system(pre.reduced)
-    pre.offline_seconds += time.perf_counter() - start
-    return pre
-
-
-def compact_system(system: ConstraintSystem) -> Tuple[ConstraintSystem, List[int]]:
-    """Renumber ``system`` onto the ids its constraints can reach.
-
-    The compact space holds every id a constraint mentions, plus every
-    whole function or object block holding one: offset arithmetic
-    addresses a block from its base, so a block moves as a unit and keeps
-    its ``max_offset``.  Ids keep their original order, so every
-    tie-break a solver takes by id (worklist order, collapse
-    representatives, Tarjan roots) falls the same way.  Returns the
-    renumbered system and the original id of each compact id.
-    """
-    live = _mentioned_ids(system)
-    functions = system.functions
-    blocks = system.object_blocks
-    for block in [*functions.values(), *blocks.values()]:
-        span = range(block.node, block.node + block.block_size)
-        if not live.isdisjoint(span):
-            live.update(span)
-    original_ids = sorted(live)
+    rows, original_ids, var_to_rep, loc_members, passes = _run_rounds(system, opt)
     new_id = {old: new for new, old in enumerate(original_ids)}
     names = system.names
-    compact = ConstraintSystem(
+    reduced = ConstraintSystem(
         [names[old] for old in original_ids],
         [
-            Constraint(c.kind, new_id[c.dst], new_id[c.src], c.offset, c.prov)
-            for c in system.constraints
+            Constraint(_KINDS[code], dst, src, offset, prov)
+            for code, dst, src, offset, prov in rows
         ],
         {
             new_id[node]: FunctionInfo(new_id[node], info.name, info.param_count)
-            for node, info in functions.items()
+            for node, info in system.functions.items()
             if node in new_id
         },
         {
             new_id[node]: ObjectBlock(new_id[node], block.name, block.size)
-            for node, block in blocks.items()
+            for node, block in system.object_blocks.items()
             if node in new_id
         },
     )
-    return compact, original_ids
-
-
-def _mentioned_ids(system: ConstraintSystem) -> Set[int]:
-    live: Set[int] = set()
-    for constraint in system.constraints:
-        live.add(constraint.dst)
-        live.add(constraint.src)
-    return live
+    return PreprocessResult(
+        stage=opt,
+        original=system,
+        reduced=reduced,
+        substitution=SubstitutionMap(var_to_rep, loc_members, original_ids),
+        offline_seconds=time.perf_counter() - start,
+        passes=passes,
+    )
 
 
 def live_var_count(system: ConstraintSystem) -> int:
     """Number of distinct variables the online constraint graph will
     actually touch — the node count the offline pipeline is shrinking."""
-    return len(_mentioned_ids(system))
+    live: Set[int] = set()
+    for constraint in system.constraints:
+        live.add(constraint.dst)
+        live.add(constraint.src)
+    return len(live)

@@ -34,9 +34,12 @@ _NO_LOCATIONS: FrozenSet[int] = frozenset()
 class OptStats:
     """Counters for the offline optimization stage (``--opt``).
 
-    ``vars_merged`` counts variables substituted by a pointer-equivalent
-    representative, ``locations_merged`` the locations folded into a
-    location-equivalence class; both are undone at export time through
+    ``vars_merged`` counts the original variables with no node of their
+    own after the stage: ``num_vars`` minus the size of the stage's
+    compact id space (variables substituted by a pointer-equivalent
+    representative, and variables no reduced constraint can reach).
+    ``locations_merged`` counts the locations folded into a
+    location-equivalence class.  Both are undone at export time through
     the stage's substitution map, so they are pure node-count savings.
     """
 

@@ -1,8 +1,6 @@
 """Tests for the command-line interface."""
 
-import io
 import re
-import sys
 
 import pytest
 
@@ -214,20 +212,17 @@ class TestOfflineStagesRunOnce:
 
     @pytest.fixture
     def stage_runs(self, monkeypatch):
+        """The stage of every run of the rounds both stages share."""
         import repro.preprocess.hvn as hvn
 
         runs = []
-        for name, stage in (
-            ("offline_variable_substitution", "ovs"),
-            ("hvn_reduce", "hu"),
-        ):
-            real = getattr(hvn, name)
+        real = hvn._run_rounds
 
-            def counted(system, _real=real, _stage=stage):
-                runs.append(_stage)
-                return _real(system)
+        def counted(system, stage):
+            runs.append(stage)
+            return real(system, stage)
 
-            monkeypatch.setattr(hvn, name, counted)
+        monkeypatch.setattr(hvn, "_run_rounds", counted)
         return runs
 
     @pytest.mark.parametrize(

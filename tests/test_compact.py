@@ -12,7 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.builder import ConstraintBuilder
-from repro.constraints.model import ObjectBlock
+from repro.constraints.model import (
+    Constraint,
+    ConstraintSystem,
+    FunctionInfo,
+    ObjectBlock,
+)
 from repro.points_to.interface import FAMILY_KINDS
 from repro.preprocess.hvn import (
     hvn_reduce,
@@ -20,6 +25,7 @@ from repro.preprocess.hvn import (
     preprocess_system,
 )
 from repro.solvers.registry import all_solvers, make_solver
+from repro.workloads import BENCHMARK_ORDER, generate_workload
 from strategies import constraint_systems, pts_families
 
 #: Solvers whose section 5.3 counters do not depend on the id space.
@@ -43,6 +49,40 @@ def uncompacted(system, stage):
     """The stage's reduction in the original id space, and its expander."""
     pre = UNCOMPACTED[stage](system)
     return pre.reduced, pre.expand
+
+
+def pad(system, gaps):
+    """``system`` with ``gaps[u % len(gaps)]`` unmentioned variables put
+    before its ``u``-th unit (a whole block, or an id outside every
+    block), and the new id of each old id."""
+    spans = {node: info.block_size for node, info in system.functions.items()}
+    spans.update((node, b.block_size) for node, b in system.object_blocks.items())
+    names, new_id = [], []
+    old = unit = 0
+    while old < system.num_vars:
+        names += [f"pad#{len(names)}" for _ in range(gaps[unit % len(gaps)])]
+        unit += 1
+        span = spans.get(old, 1)
+        for member in range(old, old + span):
+            new_id.append(len(names))
+            names.append(system.name_of(member))
+        old += span
+    padded = ConstraintSystem(
+        names,
+        [
+            Constraint(c.kind, new_id[c.dst], new_id[c.src], c.offset, c.prov)
+            for c in system.constraints
+        ],
+        {
+            new_id[node]: FunctionInfo(new_id[node], info.name, info.param_count)
+            for node, info in system.functions.items()
+        },
+        {
+            new_id[node]: ObjectBlock(new_id[node], b.name, b.size)
+            for node, b in system.object_blocks.items()
+        },
+    )
+    return padded, new_id
 
 
 def live_closure(system):
@@ -151,6 +191,59 @@ class TestStructure:
         assert pre.locations_merged() == plain.locations_merged()
         if stage == "ovs":
             assert pre.locations_merged() == 0
+
+
+class TestMergedCount:
+    """``merged_count`` is the number of original variables with no node
+    of their own after the stage: those outside its compact id space."""
+
+    @given(system=constraint_systems(), stage=stages)
+    @SETTINGS
+    def test_drawn_systems(self, system, stage):
+        pre = preprocess_system(system, stage)
+        assert pre.merged_count() + pre.reduced.num_vars == system.num_vars
+
+    @pytest.mark.parametrize("stage", ["ovs", "hu"])
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_table2_profiles(self, name, stage):
+        system = generate_workload(name, scale=1 / 512, seed=0)
+        pre = preprocess_system(system, stage)
+        assert pre.merged_count() + pre.reduced.num_vars == system.num_vars
+        assert pre.merged_count() == UNCOMPACTED[stage](system).merged_count()
+
+
+class TestUnmentionedIds:
+    """The stages see only the ids their constraints reach: variables no
+    constraint mentions, put anywhere outside a block, change nothing but
+    the ids the result maps back to."""
+
+    @given(
+        system=constraint_systems(),
+        stage=stages,
+        gaps=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    )
+    @SETTINGS
+    def test_padding_changes_nothing(self, system, stage, gaps):
+        padded, new_id = pad(system, gaps)
+        pre = preprocess_system(system, stage)
+        padded_pre = preprocess_system(padded, stage)
+        assert padded_pre.reduced == pre.reduced
+        assert [c.prov for c in padded_pre.reduced] == [c.prov for c in pre.reduced]
+        assert padded_pre.passes == pre.passes
+        sub, padded_sub = pre.substitution, padded_pre.substitution
+        assert padded_sub.original_ids == [new_id[old] for old in sub.original_ids]
+        assert padded_sub.loc_members == {
+            new_id[rep]: tuple(new_id[loc] for loc in members)
+            for rep, members in sub.loc_members.items()
+        }
+        solution = make_solver(system, "lcd+hcd", opt=stage).solve()
+        padded_solution = make_solver(padded, "lcd+hcd", opt=stage).solve()
+        expected = {
+            new_id[var]: frozenset(new_id[loc] for loc in solution.points_to(var))
+            for var in range(system.num_vars)
+        }
+        for var in range(padded.num_vars):
+            assert padded_solution.points_to(var) == expected.get(var, frozenset())
 
 
 class TestEmptyReduction:

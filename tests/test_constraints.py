@@ -1,7 +1,5 @@
 """Tests for the constraint model, builder and text format."""
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -7,8 +7,6 @@ memory routing and sanitizer barriers, and the function graph's caller
 attribution.
 """
 
-import pytest
-
 from repro.analysis.escape import EscapeAnalysis
 from repro.constraints.model import owner_of
 from repro.dataflow import (

@@ -8,8 +8,6 @@ locals crossing calls, globals reachable only through the heap, and
 function pointees at nonzero offsets.
 """
 
-import pytest
-
 from repro.analysis.escape import EscapeAnalysis
 from repro.analysis.mod_ref import ModRefAnalysis
 from repro.frontend import generate_constraints

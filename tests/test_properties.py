@@ -6,7 +6,6 @@ constraint system.
 """
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.constraints.parser import dumps_constraints, loads_constraints
 from repro.preprocess.hcd_offline import hcd_offline_analysis
