@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.solution import PointsToSolution
-from repro.constraints.model import ConstraintKind, ConstraintSystem
+from repro.constraints.model import Constraint, ConstraintKind, ConstraintSystem
 
 
 def pointee_names(names: Sequence[str], pointees: Iterable[int]) -> List[str]:
@@ -131,11 +131,24 @@ def solution_from_json(text: str, system: ConstraintSystem) -> PointsToSolution:
     )
 
 
-_EDGE_STYLE = {
-    ConstraintKind.COPY: "",
-    ConstraintKind.LOAD: ' [style=dashed, label="load"]',
-    ConstraintKind.STORE: ' [style=dotted, label="store"]',
-}
+def _dot_edge(constraint: Constraint) -> Tuple[int, int, str]:
+    """The ``(tail, head, attributes)`` of one constraint's dot edge."""
+    kind = constraint.kind
+    suffix = f"+{constraint.offset}" if constraint.offset else ""
+    if kind is ConstraintKind.BASE:
+        return constraint.src, constraint.dst, ' [style=bold, label="&", dir=back]'
+    if kind is ConstraintKind.COPY:
+        return constraint.src, constraint.dst, ""
+    if kind is ConstraintKind.LOAD:
+        return constraint.src, constraint.dst, f' [style=dashed, label="load{suffix}"]'
+    if kind is ConstraintKind.STORE:
+        return (
+            constraint.dst,
+            constraint.src,
+            f' [style=dotted, label="store{suffix}", dir=back]',
+        )
+    # OFFS: dst = src + k flows from src to dst.
+    return constraint.src, constraint.dst, f' [label="offs{suffix}"]'
 
 
 def constraint_graph_dot(
@@ -146,41 +159,23 @@ def constraint_graph_dot(
     """Render the (initial) constraint graph as Graphviz ``dot`` text.
 
     Copy constraints are solid edges; complex constraints dash/dot toward
-    the dereferenced variable.  When a solution is supplied, node labels
-    carry their points-to sets.  Output is truncated at ``max_nodes``
-    mentioned nodes to stay plottable.
+    the dereferenced variable, and offset copies carry an ``offs+k``
+    label.  When a solution is supplied, node labels carry their
+    points-to sets.  Output stops before the first edge that would name
+    more than ``max_nodes`` nodes, to stay plottable.
     """
     lines = ["digraph constraints {", "  rankdir=LR;", "  node [shape=box];"]
-    mentioned: set = set()
-
-    def name(node: int) -> str:
-        mentioned.add(node)
-        return f'"{system.name_of(node)}"'
+    mentioned: Set[int] = set()
 
     for constraint in system.constraints:
-        if len(mentioned) > max_nodes:
+        tail, head, attributes = _dot_edge(constraint)
+        if len(mentioned) + len({tail, head} - mentioned) > max_nodes:
             lines.append(f'  "..." [label="(truncated at {max_nodes} nodes)"];')
             break
-        kind = constraint.kind
-        if kind is ConstraintKind.BASE:
-            lines.append(
-                f"  {name(constraint.src)} -> {name(constraint.dst)}"
-                ' [style=bold, label="&", dir=back];'
-            )
-        elif kind is ConstraintKind.COPY:
-            lines.append(f"  {name(constraint.src)} -> {name(constraint.dst)};")
-        elif kind is ConstraintKind.LOAD:
-            suffix = f"+{constraint.offset}" if constraint.offset else ""
-            lines.append(
-                f"  {name(constraint.src)} -> {name(constraint.dst)}"
-                f' [style=dashed, label="load{suffix}"];'
-            )
-        else:
-            suffix = f"+{constraint.offset}" if constraint.offset else ""
-            lines.append(
-                f"  {name(constraint.dst)} -> {name(constraint.src)}"
-                f' [style=dotted, label="store{suffix}", dir=back];'
-            )
+        mentioned.update((tail, head))
+        lines.append(
+            f'  "{system.name_of(tail)}" -> "{system.name_of(head)}"{attributes};'
+        )
 
     if solution is not None:
         render = PointeeRenderer(system.names)

@@ -361,6 +361,19 @@ def _scale_denominator(text: str) -> float:
     return value
 
 
+def _node_cap(text: str) -> int:
+    """``dot --max-nodes``: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid node cap {text!r}: want a whole number of at least 1"
+        )
+    return value
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     system = generate_workload(
         args.benchmark, scale=1.0 / args.scale, seed=args.seed
@@ -626,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("file")
     p_dot.add_argument("--solve", action="store_true",
                        help="annotate nodes with their points-to sets")
-    p_dot.add_argument("--max-nodes", type=int, default=200)
+    p_dot.add_argument("--max-nodes", type=_node_cap, default=200)
     p_dot.set_defaults(func=_cmd_dot)
 
     p_analyze = sub.add_parser("analyze", help="analyze a C-subset source file")

@@ -8,10 +8,12 @@ Format (one directive per line, ``#`` starts a comment)::
 
     var <name>                 declare a plain variable
     fun <name> <nparams>       declare a function block (var, ret, params)
+    obj <name> <nfields>       declare an object block (var, fields)
     base <a> <b>               a = &b
     copy <a> <b>               a = b
     load <a> <b> [k]           a = *(b + k)
     store <a> <b> [k]          *(a + k) = b
+    offs <a> <b> <k>           a = b + k, k > 0  (each pointee v of b puts v+k in a)
 
 Variables may be referenced by name (declared earlier) or by ``%<id>``.
 Declaration order fixes the id assignment, so a round-trip through

@@ -202,28 +202,18 @@ class ContextExpansion:
         )
 
 
-def expand_contexts(
-    system: ConstraintSystem,
-    k: int,
-    bootstrap: Optional[PointsToSolution] = None,
-) -> ContextExpansion:
+def expand_contexts(system: ConstraintSystem, k: int) -> ContextExpansion:
     """Rewrite ``system`` into its k-CFA expansion (once per object and k).
 
-    ``bootstrap`` optionally supplies the context-insensitive solution
-    used to resolve indirect call sites; when omitted (the normal path)
-    one is computed with the headline configuration.  A call with an
-    explicit ``bootstrap`` is never memoized.
+    Indirect call sites are resolved with a context-insensitive
+    bootstrap solution computed in the headline configuration.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if bootstrap is not None:
-        return _expand(system, k, bootstrap)
-    return system.derived(("k-cs", k), lambda s: _expand(s, k, None))
+    return system.derived(("k-cs", k), lambda s: _expand(s, k))
 
 
-def _expand(
-    system: ConstraintSystem, k: int, bootstrap: Optional[PointsToSolution]
-) -> ContextExpansion:
+def _expand(system: ConstraintSystem, k: int) -> ContextExpansion:
     start = time.perf_counter()
     stats = CtxStats(k=k)
     stats.constraints_before = len(system)
@@ -357,14 +347,13 @@ def _expand(
     indirect_sites = [s for s in sites.values() if s.kind == "indirect"]
     candidates_by_row: Dict[int, Tuple[int, ...]] = {}
     if indirect_sites:
-        if bootstrap is None:
-            # Imported lazily: the registry imports solvers.base, which
-            # imports this module.
-            from repro.solvers.registry import solve as _solve
+        # Imported lazily: the registry imports solvers.base, which
+        # imports this module.
+        from repro.solvers.registry import solve as _solve
 
-            boot_start = time.perf_counter()
-            bootstrap = _solve(system, "lcd+hcd", pts="int", opt="hu")
-            stats.bootstrap_seconds = time.perf_counter() - boot_start
+        boot_start = time.perf_counter()
+        bootstrap = _solve(system, "lcd+hcd", pts="int", opt="hu")
+        stats.bootstrap_seconds = time.perf_counter() - boot_start
         max_offset = system.max_offset
         for site in indirect_sites:
             specialized = True

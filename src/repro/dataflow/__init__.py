@@ -4,9 +4,9 @@ The paper frames points-to analysis as the *substrate* for downstream
 clients; this package is the propagation machinery those clients share:
 
 - :mod:`~repro.dataflow.engine` — generic forward worklist propagation
-  with union (may) and intersection (must) meets, facts stored as
-  :class:`~repro.datastructs.intset.IntBitSet` bignums so every
-  propagation step is one word-parallel integer operation;
+  with union (may) and intersection (must) meets, each node's facts one
+  plain bignum so every propagation step is one word-parallel integer
+  operation;
 - :mod:`~repro.dataflow.valueflow` — the assignment-level value-flow
   graph derived from a solved constraint system (memory flow routed
   through :class:`~repro.analysis.mod_ref.ModRefAnalysis` summaries);

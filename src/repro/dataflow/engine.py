@@ -1,10 +1,10 @@
 """Generic forward propagation engines over explicit flow edges.
 
-Facts are bit positions packed into one arbitrary-precision integer per
-node (the :class:`~repro.datastructs.intset.IntBitSet` representation
-the ``int`` points-to family already uses), so one propagation step —
-however many facts are in flight — is a single word-parallel bignum
-operation.  Two meet disciplines cover the clients:
+Facts are bit positions packed into one plain arbitrary-precision
+integer per node (the representation the ``int`` points-to family
+already uses), so one propagation step — however many facts are in
+flight — is a single word-parallel bignum operation.  Two meet
+disciplines cover the clients:
 
 - :class:`UnionDataflow` (*may* facts, e.g. taint): facts accumulate
   along edges; a node's set only ever grows, so the worklist terminates
@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.datastructs.intset import IntBitSet
 from repro.graph.scc import tarjan_scc
 
 
@@ -65,15 +64,14 @@ class UnionDataflow:
     resumes from the previous fixed point.
     """
 
-    def __init__(self, track_witness: bool = True) -> None:
+    def __init__(self) -> None:
         self._succs: Dict[int, List[int]] = {}
         #: first-added source line per (src, dst) edge; consulted only
         #: at witness-reconstruction time, never during propagation.
         self._lines: Dict[Tuple[int, int], int] = {}
         #: (node, bitmask, line) seed records, in seeding order.
         self._seeded: List[Tuple[int, int, int]] = []
-        self._facts: Dict[int, IntBitSet] = {}
-        self._track = track_witness
+        self._facts: Dict[int, int] = {}
         #: SCCs of the edge graph in topological order of the
         #: condensation; invalidated by add_edge, rebuilt on run().
         self._order: List[List[int]] = []
@@ -90,25 +88,21 @@ class UnionDataflow:
         if src == dst:
             return
         self._succs.setdefault(src, []).append(dst)
-        if self._track:
-            self._lines.setdefault((src, dst), line)
+        self._lines.setdefault((src, dst), line)
         self._order_stale = True
         self._facts_stale = True
         self.stats.edges += 1
 
     def seed(self, node: int, bits: int, line: int = 0) -> None:
         """Introduce fact ``bits`` at ``node`` (a bitmask, not an index)."""
-        facts = self._facts.get(node)
-        if facts is None:
-            facts = self._facts[node] = IntBitSet()
-        fresh = bits & ~facts.bits
+        held = self._facts.get(node, 0)
+        fresh = bits & ~held
         if not fresh:
             return
-        facts.bits |= fresh
+        self._facts[node] = held | fresh
         self.stats.seeds += 1
         self._facts_stale = True
-        if self._track:
-            self._seeded.append((node, fresh, line))
+        self._seeded.append((node, fresh, line))
 
     def _condense(self) -> List[List[int]]:
         """Strongly connected components of the edge graph, listed in
@@ -140,38 +134,27 @@ class UnionDataflow:
                 # Merge the cycle: every member sees the union.
                 union = 0
                 for member in scc:
-                    held = all_facts.get(member)
-                    if held is not None:
-                        union |= held.bits
+                    union |= all_facts.get(member, 0)
                 if union:
                     for member in scc:
-                        held = all_facts.get(member)
-                        if held is None:
-                            all_facts[member] = IntBitSet.from_bits(union)
-                            self.stats.propagations += 1
-                        elif held.bits != union:
-                            held.bits = union
+                        if all_facts.get(member, 0) != union:
+                            all_facts[member] = union
                             self.stats.propagations += 1
             for node in scc:
-                source = all_facts.get(node)
-                if source is None or not source.bits:
+                bits = all_facts.get(node, 0)
+                if not bits:
                     continue
-                bits = source.bits
                 for dst in succs.get(node, ()):
-                    target = all_facts.get(dst)
-                    if target is None:
-                        all_facts[dst] = IntBitSet.from_bits(bits)
-                        self.stats.propagations += 1
-                    elif bits & ~target.bits:
-                        target.bits |= bits
+                    target = all_facts.get(dst, 0)
+                    if bits & ~target:
+                        all_facts[dst] = target | bits
                         self.stats.propagations += 1
         self._facts_stale = False
         self.stats.seconds += time.perf_counter() - started
 
     def facts(self, node: int) -> int:
         """The fact bitmask currently known at ``node``."""
-        found = self._facts.get(node)
-        return found.bits if found is not None else 0
+        return self._facts.get(node, 0)
 
     def witness(self, node: int, bit: int, limit: int = 128) -> List[Tuple[int, int]]:
         """A flow of fact ``bit`` from a seed into ``node``.
@@ -182,10 +165,8 @@ class UnionDataflow:
         demand: a breadth-first search from the seeds carrying ``bit``,
         restricted to nodes that hold the fact at the current fixed
         point, so the path is shortest-by-edges.  Empty when the fact
-        never reached ``node`` or witness tracking was off.
+        never reached ``node``.
         """
-        if not self._track:
-            return []
         mask = 1 << bit
         if not self.facts(node) & mask:
             return []
@@ -230,7 +211,7 @@ class IntersectDataflow:
     def __init__(self, universe: int) -> None:
         self._universe = universe
         self._succs: Dict[int, List[Tuple[int, int]]] = {}
-        self._facts: Dict[int, IntBitSet] = {}
+        self._facts: Dict[int, int] = {}
         self._dirty: List[int] = []
         self._queued: Set[int] = set()
         self.stats = DataflowStats()
@@ -242,11 +223,8 @@ class IntersectDataflow:
     def seed(self, node: int, bits: int) -> None:
         """Pin ``node``'s facts to (at most) ``bits``: meet with ⊤ so
         repeated seeds intersect."""
-        facts = self._facts.get(node)
-        if facts is None:
-            self._facts[node] = IntBitSet.from_bits(bits)
-        else:
-            facts.bits &= bits
+        held = self._facts.get(node)
+        self._facts[node] = bits if held is None else held & bits
         self.stats.seeds += 1
         if node not in self._queued:
             self._queued.add(node)
@@ -263,16 +241,16 @@ class IntersectDataflow:
             if source is None:
                 continue
             for dst, gen in self._succs.get(node, []):
-                candidate = source.bits | gen
+                candidate = source | gen
                 target = self._facts.get(dst)
                 if target is None:
                     # First visit: narrow straight down from ⊤.
-                    self._facts[dst] = IntBitSet.from_bits(candidate & self._universe)
+                    self._facts[dst] = candidate & self._universe
                     changed = True
                 else:
-                    narrowed = target.bits & candidate
-                    changed = narrowed != target.bits
-                    target.bits = narrowed
+                    narrowed = target & candidate
+                    changed = narrowed != target
+                    self._facts[dst] = narrowed
                 if changed:
                     self.stats.propagations += 1
                     if dst not in queued:
@@ -282,5 +260,4 @@ class IntersectDataflow:
 
     def facts(self, node: int) -> int:
         """Facts that *must* hold at ``node`` (⊤ when unreachable)."""
-        found = self._facts.get(node)
-        return found.bits if found is not None else self._universe
+        return self._facts.get(node, self._universe)

@@ -53,18 +53,12 @@ def find_taint_flows(
     sources: Sequence[TaintSource],
     sinks: Sequence[TaintSink],
     instances: Optional[Mapping[int, Tuple[int, ...]]] = None,
-    track_witness: bool = True,
 ) -> Tuple[List[TaintFinding], DataflowStats]:
     """Trace every source-to-sink flow of ``system`` under ``solution``."""
     if not sources or not sinks:
         return [], DataflowStats(nodes=system.num_vars)
     clones: Mapping[int, Tuple[int, ...]] = instances or {}
-    flow = build_value_flow(
-        system,
-        solution,
-        barrier_constructs=SANITIZER_BARRIERS,
-        track_witness=track_witness,
-    )
+    flow = build_value_flow(system, solution, barrier_constructs=SANITIZER_BARRIERS)
 
     for index, source in enumerate(sources):
         bit = 1 << index

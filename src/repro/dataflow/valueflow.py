@@ -41,7 +41,6 @@ def build_value_flow(
     system: ConstraintSystem,
     solution: PointsToSolution,
     barrier_constructs: AbstractSet[str] = frozenset(),
-    track_witness: bool = True,
 ) -> UnionDataflow:
     """An engine pre-loaded with the system's value-flow edges.
 
@@ -49,7 +48,7 @@ def build_value_flow(
     must NOT propagate facts (e.g. a sanitizer's identity copy); edges
     carry the inducing constraint's source line for witness paths.
     """
-    flow = UnionDataflow(track_witness=track_witness)
+    flow = UnionDataflow()
     modref = ModRefAnalysis(system, solution)
     # Synthetic hub nodes live above the variable space; one per
     # distinct pointee set and direction.  Hub-side fan edges carry no

@@ -4,7 +4,10 @@ This package contains the three structures the paper's implementation notes
 call out explicitly (Section 5.1):
 
 - :class:`~repro.datastructs.sparse_bitmap.SparseBitmap` — the GCC-style
-  sparse bitmap used for points-to sets and constraint-graph edge sets.
+  sparse bitmap: the ``bitmap`` family's points-to set itself, and the
+  default constraint-graph edge set.  Its bignum counterpart
+  :class:`~repro.datastructs.intset.IntBitSet` plays both roles for the
+  ``int`` family.
 - :class:`~repro.datastructs.union_find.UnionFind` — union-by-rank with path
   compression, used to collapse strongly connected components.
 - The worklist strategies in :mod:`~repro.datastructs.worklist`, including

@@ -2,15 +2,13 @@
 
 The verification layer's certifier (``verify/certifier.py``) re-derives
 the least Andersen model at a fraction of solve cost by storing every
-points-to set as a single Python ``int`` and doing subset/union/
-difference as word-parallel ``&``, ``|``, ``&~`` — one interpreter
-dispatch per *operation* instead of one per block (sparse bitmaps) or
-per element (builtin sets).  This module promotes that engine from the
-checker to the solvers: :class:`IntBitSet` is a mutable set over the
-same representation exposing the slice of the :class:`SparseBitmap` API
-the solver machinery consumes, so the graph's difference-processing
-state (processed-pointee sets, difference-propagation ``prev`` sets)
-can switch backing per points-to family.
+points-to set as a single Python ``int`` and doing union and
+difference as word-parallel ``|`` and ``&~`` — one interpreter dispatch
+per *operation* instead of one per block (sparse bitmaps) or per
+element (builtin sets).  This module promotes that engine to the
+solvers: :class:`IntBitSet` is the ``int`` points-to family's set, and
+the same class holds that family's scratch state (successor sets and
+processed-pointee done-sets).
 
 The representation trade-off versus the GCC element layout: a bignum is
 *dense* from bit 0 to its highest set bit, so it loses on sets holding a
@@ -31,14 +29,6 @@ INT_HEADER_BYTES = 28
 _WORD_BITS = 64
 
 
-def bits_from_iter(locs: Iterable[int]) -> int:
-    """Pack an iterable of non-negative ints into one bignum bitset."""
-    bits = 0
-    for loc in locs:
-        bits |= 1 << loc
-    return bits
-
-
 def iter_bits(bits: int) -> Iterator[int]:
     """Yield the set bit positions of ``bits``, ascending."""
     while bits:
@@ -55,16 +45,17 @@ def int_memory_bytes(bits: int) -> int:
 class IntBitSet:
     """A mutable set of non-negative integers stored as one bignum.
 
-    API-compatible with the slice of :class:`SparseBitmap` the solver
-    shell uses for its difference-processing state (``complex_done``
-    and the HCD done-sets): membership, ``add``/``discard``,
-    destructive union/intersection/difference, ``copy`` and ascending
-    iteration.  The ``int`` family's ``fresh`` diff and LCD's batched
-    loop reach through ``.bits`` to run whole-set operations as single
-    bignum expressions.
+    The ``int`` family's points-to set and scratch set, with the
+    operations of :class:`~repro.datastructs.sparse_bitmap.SparseBitmap`:
+    membership, ``add``, destructive union and difference, ``same_as``,
+    ``copy`` and ascending iteration.  A copy shares the immutable int
+    until a mutation re-points ``bits``.  The family's ``fresh`` diff,
+    LCD's batched loop and solution export reach through ``.bits`` to
+    run whole-set operations as single bignum expressions.  Equality is
+    identity, as for ``SparseBitmap``; :meth:`same_as` compares values.
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "__weakref__")
 
     def __init__(self, items: Optional[Iterable[int]] = None) -> None:
         self.bits = 0
@@ -95,15 +86,6 @@ class IntBitSet:
         self.bits |= mask
         return True
 
-    def discard(self, item: int) -> bool:
-        if item < 0:
-            return False
-        mask = 1 << item
-        if not self.bits & mask:
-            return False
-        self.bits ^= mask
-        return True
-
     def __contains__(self, item: int) -> bool:
         return item >= 0 and bool((self.bits >> item) & 1)
 
@@ -112,21 +94,19 @@ class IntBitSet:
     # ------------------------------------------------------------------
 
     def ior_and_test(self, other: "IntBitSet") -> bool:
-        merged = self.bits | other.bits
-        if merged == self.bits:
+        bits = self.bits
+        source = other.bits
+        merged = bits | source
+        if merged == bits:
             return False
-        self.bits = merged
+        # A union equal to the source adopts the source's int object, so
+        # converged copy chains share one value (ints are immutable, so
+        # sharing is safe).
+        self.bits = source if merged == source else merged
         return True
 
     def ior(self, other: "IntBitSet") -> None:
         self.bits |= other.bits
-
-    def iand(self, other: "IntBitSet") -> bool:
-        merged = self.bits & other.bits
-        if merged == self.bits:
-            return False
-        self.bits = merged
-        return True
 
     def difference_update(self, other: "IntBitSet") -> bool:
         merged = self.bits & ~other.bits
@@ -137,12 +117,6 @@ class IntBitSet:
 
     def same_as(self, other: "IntBitSet") -> bool:
         return self.bits == other.bits
-
-    def issubset(self, other: "IntBitSet") -> bool:
-        return not (self.bits & ~other.bits)
-
-    def difference_iter(self, other: "IntBitSet") -> Iterator[int]:
-        return iter_bits(self.bits & ~other.bits)
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -156,22 +130,6 @@ class IntBitSet:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntBitSet):
-            return self.bits == other.bits
-        if isinstance(other, (set, frozenset)):
-            return self.bits == bits_from_iter(other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __hash__(self) -> int:  # pragma: no cover - explicit unhashability
-        raise TypeError("IntBitSet is mutable and unhashable")
 
     def __repr__(self) -> str:
         preview: List[int] = []
@@ -189,19 +147,6 @@ class IntBitSet:
         clone = IntBitSet()
         clone.bits = self.bits
         return clone
-
-    def clear(self) -> None:
-        self.bits = 0
-
-    def min(self) -> int:
-        if not self.bits:
-            raise ValueError("min() of an empty IntBitSet")
-        return (self.bits & -self.bits).bit_length() - 1
-
-    def max(self) -> int:
-        if not self.bits:
-            raise ValueError("max() of an empty IntBitSet")
-        return self.bits.bit_length() - 1
 
     def memory_bytes(self) -> int:
         return int_memory_bytes(self.bits)

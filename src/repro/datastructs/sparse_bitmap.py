@@ -28,14 +28,16 @@ from typing import Dict, Iterable, Iterator, List, Optional
 #: on 64-bit hosts; we follow suit.
 BITS_PER_BLOCK = 128
 
-_BLOCK_MASK = (1 << BITS_PER_BLOCK) - 1
-
 
 class SparseBitmap:
     """A set of non-negative integers stored as a sparse bitmap.
 
-    Supports the standard set protocol (``in``, ``len``, iteration,
-    comparison) plus the destructive union primitives the solvers need.
+    Supports ``in``, ``len`` and ascending iteration plus the destructive
+    union primitives the solvers need.  It is the ``bitmap`` family's
+    points-to set and the default scratch set of
+    :meth:`~repro.points_to.interface.PointsToFamily.make_scratch`.  Equality is
+    identity (sets are hashable so the family can track the live ones
+    weakly); :meth:`same_as` compares values.
 
     >>> s = SparseBitmap([1, 200, 3])
     >>> sorted(s)
@@ -46,7 +48,7 @@ class SparseBitmap:
     True
     """
 
-    __slots__ = ("_blocks", "_count")
+    __slots__ = ("_blocks", "_count", "__weakref__")
 
     def __init__(self, items: Optional[Iterable[int]] = None) -> None:
         self._blocks: Dict[int, int] = {}
@@ -70,25 +72,6 @@ class SparseBitmap:
             return False
         self._blocks[block_index] = word | mask
         self._count += 1
-        return True
-
-    def discard(self, item: int) -> bool:
-        """Clear bit ``item``.  Return ``True`` if the bit had been set."""
-        if item < 0:
-            return False
-        block_index, bit = divmod(item, BITS_PER_BLOCK)
-        word = self._blocks.get(block_index)
-        if word is None:
-            return False
-        mask = 1 << bit
-        if not word & mask:
-            return False
-        word &= ~mask
-        if word:
-            self._blocks[block_index] = word
-        else:
-            del self._blocks[block_index]
-        self._count -= 1
         return True
 
     def __contains__(self, item: int) -> bool:
@@ -118,29 +101,13 @@ class SparseBitmap:
             merged = word | other_word
             if merged != word:
                 blocks[block_index] = merged
-                self._count += _popcount(merged) - _popcount(word)
+                self._count += merged.bit_count() - word.bit_count()
                 changed = True
         return changed
 
     def ior(self, other: "SparseBitmap") -> None:
         """Destructive union without the changed test."""
         self.ior_and_test(other)
-
-    def iand(self, other: "SparseBitmap") -> bool:
-        """Destructive intersection.  Return ``True`` on change."""
-        changed = False
-        for block_index in list(self._blocks):
-            word = self._blocks[block_index]
-            other_word = other._blocks.get(block_index, 0)
-            merged = word & other_word
-            if merged != word:
-                changed = True
-                if merged:
-                    self._blocks[block_index] = merged
-                else:
-                    del self._blocks[block_index]
-                self._count += _popcount(merged) - _popcount(word)
-        return changed
 
     def difference_update(self, other: "SparseBitmap") -> bool:
         """Destructive difference: ``self -= other``.  Return ``True`` on change."""
@@ -156,19 +123,8 @@ class SparseBitmap:
                     self._blocks[block_index] = merged
                 else:
                     del self._blocks[block_index]
-                self._count += _popcount(merged) - _popcount(word)
+                self._count += merged.bit_count() - word.bit_count()
         return changed
-
-    def intersects(self, other: "SparseBitmap") -> bool:
-        """Return ``True`` if the two bitmaps share any bit."""
-        small, large = (
-            (self, other) if len(self._blocks) <= len(other._blocks) else (other, self)
-        )
-        for block_index, word in small._blocks.items():
-            other_word = large._blocks.get(block_index)
-            if other_word is not None and word & other_word:
-                return True
-        return False
 
     def same_as(self, other: "SparseBitmap") -> bool:
         """Set equality, cheapest checks first.
@@ -180,30 +136,6 @@ class SparseBitmap:
         if other is self:
             return True
         return self._count == other._count and self._blocks == other._blocks
-
-    def issubset(self, other: "SparseBitmap") -> bool:
-        if self._count > other._count:
-            return False
-        for block_index, word in self._blocks.items():
-            other_word = other._blocks.get(block_index, 0)
-            if word & ~other_word:
-                return False
-        return True
-
-    def difference_iter(self, other: "SparseBitmap") -> Iterator[int]:
-        """Yield elements of ``self`` that are not in ``other``, ascending.
-
-        Used by incremental ("difference propagation") solver variants and
-        by the BLQ incrementalization when extracting newly discovered
-        points-to facts.
-        """
-        for block_index in sorted(self._blocks):
-            word = self._blocks[block_index] & ~other._blocks.get(block_index, 0)
-            base = block_index * BITS_PER_BLOCK
-            while word:
-                low = word & -word
-                yield base + low.bit_length() - 1
-                word ^= low
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -224,22 +156,6 @@ class SparseBitmap:
     def __bool__(self) -> bool:
         return self._count > 0
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SparseBitmap):
-            return self.same_as(other)
-        if isinstance(other, (set, frozenset)):
-            return self._count == len(other) and all(item in self for item in other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __hash__(self) -> int:  # pragma: no cover - explicit unhashability
-        raise TypeError("SparseBitmap is mutable and unhashable")
-
     def __repr__(self) -> str:
         preview: List[int] = []
         for item in self:
@@ -258,32 +174,6 @@ class SparseBitmap:
         clone._count = self._count
         return clone
 
-    def clear(self) -> None:
-        self._blocks.clear()
-        self._count = 0
-
-    def min(self) -> int:
-        """Smallest element.  Raises ``ValueError`` on an empty bitmap."""
-        if not self._blocks:
-            raise ValueError("min() of an empty SparseBitmap")
-        block_index = min(self._blocks)
-        word = self._blocks[block_index]
-        low = word & -word
-        return block_index * BITS_PER_BLOCK + low.bit_length() - 1
-
-    def max(self) -> int:
-        """Largest element.  Raises ``ValueError`` on an empty bitmap."""
-        if not self._blocks:
-            raise ValueError("max() of an empty SparseBitmap")
-        block_index = max(self._blocks)
-        word = self._blocks[block_index]
-        return block_index * BITS_PER_BLOCK + word.bit_length() - 1
-
-    @property
-    def block_count(self) -> int:
-        """Number of materialized elements — the memory-accounting unit."""
-        return len(self._blocks)
-
     def memory_bytes(self) -> int:
         """Analytic memory footprint, modelled on GCC's element layout.
 
@@ -293,13 +183,3 @@ class SparseBitmap:
         """
         return 40 * (len(self._blocks) + 1)
 
-
-def _popcount(word: int) -> int:
-    return bin(word).count("1")
-
-
-# Python >= 3.10 has int.bit_count, which is substantially faster.
-if hasattr(int, "bit_count"):  # pragma: no branch
-
-    def _popcount(word: int) -> int:  # noqa: F811 - intentional fast path
-        return word.bit_count()

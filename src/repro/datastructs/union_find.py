@@ -9,7 +9,7 @@ merged points-to set and edge set.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import List
 
 
 class UnionFind:
@@ -20,42 +20,26 @@ class UnionFind:
     0
     >>> uf.find(1)
     0
-    >>> uf.same(0, 1)
+    >>> uf.find(0) == uf.find(1)
     True
     """
 
-    __slots__ = ("_parent", "_rank", "_n_sets")
+    __slots__ = ("_parent", "_rank")
 
     def __init__(self, size: int = 0) -> None:
         if size < 0:
             raise ValueError("size must be non-negative")
         self._parent: List[int] = list(range(size))
         self._rank: List[int] = [0] * size
-        self._n_sets = size
 
     def __len__(self) -> int:
         return len(self._parent)
-
-    @property
-    def set_count(self) -> int:
-        """Number of disjoint sets currently represented."""
-        return self._n_sets
-
-    def grow(self, new_size: int) -> None:
-        """Extend the universe to ``new_size`` elements, each a singleton."""
-        old = len(self._parent)
-        if new_size < old:
-            raise ValueError("cannot shrink a UnionFind")
-        self._parent.extend(range(old, new_size))
-        self._rank.extend([0] * (new_size - old))
-        self._n_sets += new_size - old
 
     def make_set(self) -> int:
         """Add one fresh singleton element and return its id."""
         node = len(self._parent)
         self._parent.append(node)
         self._rank.append(0)
-        self._n_sets += 1
         return node
 
     def find(self, node: int) -> int:
@@ -67,10 +51,6 @@ class UnionFind:
         while parent[node] != root:
             parent[node], node = root, parent[node]
         return root
-
-    def same(self, a: int, b: int) -> bool:
-        """Whether ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
 
     def union(self, a: int, b: int) -> int:
         """Merge the sets of ``a`` and ``b``; return the surviving root."""
@@ -84,7 +64,6 @@ class UnionFind:
         self._parent[root_b] = root_a
         if rank[root_a] == rank[root_b]:
             rank[root_a] += 1
-        self._n_sets -= 1
         return root_a
 
     def union_into(self, winner: int, loser: int) -> int:
@@ -101,28 +80,4 @@ class UnionFind:
         self._parent[root_l] = root_w
         if self._rank[root_w] <= self._rank[root_l]:
             self._rank[root_w] = self._rank[root_l] + 1
-        self._n_sets -= 1
         return root_w
-
-    def roots(self) -> Iterator[int]:
-        """Iterate over the current set representatives."""
-        for node in range(len(self._parent)):
-            if self._parent[node] == node:
-                yield node
-
-    def groups(self) -> Iterator[List[int]]:
-        """Iterate over the member lists of every non-trivial universe set."""
-        by_root: dict = {}
-        for node in range(len(self._parent)):
-            by_root.setdefault(self.find(node), []).append(node)
-        yield from by_root.values()
-
-    @classmethod
-    def from_groups(cls, size: int, groups: Iterable[Iterable[int]]) -> "UnionFind":
-        """Build a UnionFind of ``size`` elements with the given merges."""
-        uf = cls(size)
-        for group in groups:
-            members = list(group)
-            for member in members[1:]:
-                uf.union(members[0], member)
-        return uf

@@ -10,6 +10,6 @@
 """
 
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.scc import condensation, nuutila_scc, tarjan_scc
+from repro.graph.scc import nuutila_scc, tarjan_scc
 
-__all__ = ["ConstraintGraph", "tarjan_scc", "nuutila_scc", "condensation"]
+__all__ = ["ConstraintGraph", "tarjan_scc", "nuutila_scc"]

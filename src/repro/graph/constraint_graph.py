@@ -124,11 +124,6 @@ class ConstraintGraph:
             return False
         return self.succ[src].add(dst)
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        src = self.uf.find(src)
-        dst = self.uf.find(dst)
-        return dst in self.succ[src]
-
     def successors(self, node: int) -> Iterator[int]:
         """Iterate normalized successors of ``find(node)`` (may repeat)."""
         uf = self.uf
@@ -137,10 +132,6 @@ class ConstraintGraph:
             succ = uf.find(raw)
             if succ != node:
                 yield succ
-
-    def edge_count(self) -> int:
-        """Number of stored (possibly stale) edges across representatives."""
-        return sum(len(self.succ[node]) for node in self.rep_nodes())
 
     def pts_of(self, node: int) -> PointsToSet:
         return self.pts[self.uf.find(node)]
@@ -231,6 +222,3 @@ class ConstraintGraph:
         """Footprint of the successor bitmaps (the constraint graph)."""
         return sum(self.succ[node].memory_bytes() for node in self.rep_nodes())
 
-    def collapsed_node_count(self) -> int:
-        """Number of variables merged away (vars minus representatives)."""
-        return self.num_vars - self.uf.set_count

@@ -145,30 +145,3 @@ def nuutila_scc(nodes: Sequence[int], successors: Successors) -> List[List[int]]
 
     return components
 
-
-def condensation(
-    nodes: Sequence[int], successors: Successors
-) -> Tuple[Dict[int, int], List[List[int]], List[List[int]]]:
-    """Condense a graph to its SCC DAG.
-
-    Returns ``(component_of, components, dag_successors)`` where
-    ``component_of[node]`` is the component index, ``components`` lists the
-    members of each component in reverse topological order, and
-    ``dag_successors[i]`` lists the distinct successor components of
-    component ``i`` (no self-loops).
-    """
-    components = tarjan_scc(nodes, successors)
-    component_of: Dict[int, int] = {}
-    for comp_index, component in enumerate(components):
-        for node in component:
-            component_of[node] = comp_index
-    dag_successors: List[List[int]] = []
-    for comp_index, component in enumerate(components):
-        seen = set()
-        for node in component:
-            for succ in successors(node):
-                succ_comp = component_of[succ]
-                if succ_comp != comp_index:
-                    seen.add(succ_comp)
-        dag_successors.append(sorted(seen))
-    return component_of, components, dag_successors

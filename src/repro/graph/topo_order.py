@@ -47,12 +47,6 @@ class DynamicTopologicalOrder:
         """Whether edge ``src -> dst`` respects the current order."""
         return self._ord[src] < self._ord[dst]
 
-    def grow(self, new_size: int) -> None:
-        old = len(self._ord)
-        if new_size < old:
-            raise ValueError("cannot shrink the order")
-        self._ord.extend(range(old, new_size))
-
     def add_edge(
         self,
         src: int,

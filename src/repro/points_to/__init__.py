@@ -7,6 +7,12 @@ but ~5.5x smaller.  Solvers access points-to sets only through the
 representation (or a new one) plugs in without touching solver code, which
 is exactly how the paper describes the swap ("a simple modification that
 requires minimal changes to the code").
+
+Each family hands out one set class: the ``bitmap`` family a
+:class:`~repro.datastructs.sparse_bitmap.SparseBitmap`, the ``int``
+family an :class:`~repro.datastructs.intset.IntBitSet` (both also serve
+as solver scratch sets), and the ``bdd`` family a
+:class:`~repro.points_to.bdd_set.BDDPointsToSet`.
 """
 
 from repro.points_to.bdd_set import BDDPointsToFamily

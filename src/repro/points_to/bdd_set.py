@@ -52,14 +52,6 @@ class BDDPointsToSet:
         self.node = merged
         return True
 
-    def contains(self, loc: int) -> bool:
-        if self.node == FALSE:
-            return False
-        manager = self._family.manager
-        return (
-            manager.apply_and(self.node, self._family.domain.encode(loc)) != FALSE
-        )
-
     def same_as(self, other: "BDDPointsToSet") -> bool:
         # Canonicity makes set equality a pointer comparison.
         return self.node == other.node

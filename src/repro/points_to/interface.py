@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 
 @runtime_checkable
 class PointsToSet(Protocol):
     """A mutable set of abstract location ids.
 
+    One class per family: :class:`~repro.datastructs.sparse_bitmap.SparseBitmap`
+    (``bitmap``), :class:`~repro.datastructs.intset.IntBitSet` (``int``)
+    and :class:`~repro.points_to.bdd_set.BDDPointsToSet` (``bdd``).
     Implementations must make ``same_as`` cheap — it is the trigger
     condition of Lazy Cycle Detection and runs on every propagation.
     """
@@ -21,9 +24,6 @@ class PointsToSet(Protocol):
 
         ``other`` is always from the same family.
         """
-
-    def contains(self, loc: int) -> bool:
-        """Membership test."""
 
     def same_as(self, other: "PointsToSet") -> bool:
         """Set equality with another set of the same family."""
@@ -76,13 +76,6 @@ class PointsToFamily:
             if loc not in done:
                 out.add(loc)
         return out
-
-    def make_from(self, locs: Iterable[int]) -> PointsToSet:
-        """A set holding exactly ``locs``."""
-        made = self.make()
-        for loc in locs:
-            made.add(loc)
-        return made
 
     def memory_bytes(self) -> int:
         """Total bytes attributable to the sets created by this family."""

@@ -53,10 +53,6 @@ class HCDOfflineResult:
     direct_groups: List[List[int]] = field(default_factory=list)
     offline_seconds: float = 0.0
 
-    @property
-    def pair_count(self) -> int:
-        return sum(len(v) for v in self.pairs.values())
-
 
 def hcd_offline_analysis(system: ConstraintSystem) -> HCDOfflineResult:
     """Run the HCD offline pass over a constraint system, once per object."""

@@ -154,17 +154,6 @@ class SubstitutionMap:
     loc_members: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     original_ids: Optional[List[int]] = None
 
-    def is_identity(self) -> bool:
-        # original_ids is ascending, so it keeps every id only as the identity.
-        return (
-            not self.loc_members
-            and (
-                self.original_ids is None
-                or len(self.original_ids) == len(self.var_to_rep)
-            )
-            and all(rep == var for var, rep in enumerate(self.var_to_rep))
-        )
-
     def merged_var_count(self) -> int:
         """Original variables with no node of their own in the reduced
         system.

@@ -45,7 +45,6 @@ class BLQSolver(BaseSolver):
         system: ConstraintSystem,
         pts: str = "bdd",  # accepted for interface parity; always BDD-based
         hcd: bool = False,
-        worklist: str = "divided-lrf",  # accepted for interface parity; unused
         interleave: bool = True,
         sanitize: bool = False,
         opt: str = "none",

@@ -42,7 +42,6 @@ class HTSolver(BaseSolver):
         system: ConstraintSystem,
         pts: str = "bitmap",
         hcd: bool = False,
-        worklist: str = "divided-lrf",  # accepted for interface parity; unused
         sanitize: bool = False,
         opt: str = "none",
         k_cs: int = 0,

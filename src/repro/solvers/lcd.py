@@ -151,7 +151,7 @@ class LCDSolver(GraphSolver):
                 merged = succ_bits | pts_rep_bits
                 if merged != succ_bits:
                     # A union equal to the source adopts its object, as
-                    # IntPointsToSet.ior_and_test does.
+                    # IntBitSet.ior_and_test does.
                     pts_succ.bits = (
                         pts_rep_bits if merged == pts_rep_bits else merged
                     )

@@ -101,7 +101,6 @@ def make_solver(
     system: ConstraintSystem,
     algorithm: str = "lcd+hcd",
     pts: str = "bitmap",
-    worklist: str = "divided-lrf",
     sanitize: bool = False,
     opt: str = "none",
     k_cs: int = 0,
@@ -122,8 +121,7 @@ def make_solver(
     """
     solver_cls, hcd = solver_class(algorithm)
     return solver_cls(
-        system, pts=pts, hcd=hcd, worklist=worklist, sanitize=sanitize,
-        opt=opt, k_cs=k_cs,
+        system, pts=pts, hcd=hcd, sanitize=sanitize, opt=opt, k_cs=k_cs
     )
 
 
@@ -131,13 +129,11 @@ def solve(
     system: ConstraintSystem,
     algorithm: str = "lcd+hcd",
     pts: str = "bitmap",
-    worklist: str = "divided-lrf",
     sanitize: bool = False,
     opt: str = "none",
     k_cs: int = 0,
 ) -> PointsToSolution:
     """One-call API: build the named solver and return its solution."""
     return make_solver(
-        system, algorithm, pts=pts, worklist=worklist, sanitize=sanitize,
-        opt=opt, k_cs=k_cs,
+        system, algorithm, pts=pts, sanitize=sanitize, opt=opt, k_cs=k_cs
     ).solve()

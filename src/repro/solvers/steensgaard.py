@@ -51,7 +51,6 @@ class SteensgaardSolver(BaseSolver):
         system: ConstraintSystem,
         pts: str = "bitmap",  # accepted for interface parity; unused
         hcd: bool = False,  # HCD is meaningless under unification
-        worklist: str = "divided-lrf",  # unused
         sanitize: bool = False,
         opt: str = "none",  # accepted for interface parity; always "none"
         k_cs: int = 0,

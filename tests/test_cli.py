@@ -445,6 +445,18 @@ class TestJsonAndDot:
         assert code == 0
         assert "{x" in out  # points-to annotation present
 
+    @pytest.mark.parametrize("cap", ["0", "-1", "x"])
+    def test_dot_rejects_an_invalid_node_cap(self, constraint_file, capsys, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["dot", constraint_file, f"--max-nodes={cap}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (
+            f"argument --max-nodes: invalid node cap '{cap}': want a whole "
+            "number of at least 1\n"
+        ) in err
+
 
 class TestErrorHandling:
     def test_missing_file(self, capsys):

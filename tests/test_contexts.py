@@ -277,15 +277,6 @@ class TestCacheAndProjection:
         gc.collect()
         assert all(ref() is None for ref in refs)
 
-    def test_explicit_bootstrap_is_not_cached(self):
-        system, *_ = _pick_system()
-        bootstrap = solve(system, "lcd+hcd")
-        first = expand_contexts(system, 1, bootstrap=bootstrap)
-        assert expand_contexts(system, 1, bootstrap=bootstrap) is not first
-        memoized = expand_contexts(system, 1)
-        assert memoized is not first
-        assert expand_contexts(system, 1, bootstrap=bootstrap) is not memoized
-
     def test_project_rejects_wrong_space(self):
         system, *_ = _pick_system()
         expansion = expand_contexts(system, 1)

@@ -35,7 +35,7 @@ class TestUnionDataflow:
     def test_bits_are_word_parallel(self):
         """Many facts propagate in one step each — the propagation count
         does not scale with the number of bits in flight."""
-        flow = UnionDataflow(track_witness=False)
+        flow = UnionDataflow()
         flow.add_edge(0, 1)
         flow.seed(0, (1 << 64) - 1)  # 64 facts at once
         flow.run()

@@ -16,7 +16,7 @@ from repro.analysis.solution import PointsToSolution
 from repro.cli import main
 from repro.constraints.builder import ConstraintBuilder
 from repro.constraints.model import ConstraintSystem
-from repro.constraints.parser import read_constraints, write_constraints
+from repro.constraints.parser import loads_constraints, read_constraints, write_constraints
 from repro.points_to.interface import FAMILY_KINDS
 from repro.solvers.registry import make_solver, solve
 from repro.workloads import generate_workload
@@ -288,3 +288,31 @@ class TestDot:
         system = generate_workload("emacs", scale=1 / 256, seed=1)
         dot = constraint_graph_dot(system, max_nodes=10)
         assert "truncated" in dot
+
+    def test_offs_is_its_own_edge(self):
+        system = loads_constraints("obj s 2\nvar p\nvar q\nbase p s\noffs q p 1\n")
+        dot = constraint_graph_dot(system)
+        assert '  "p" -> "q" [label="offs+1"];' in dot
+        assert "store" not in dot
+
+    @pytest.mark.parametrize("max_nodes, edges", [(1, 0), (2, 1), (3, 1), (4, 3)])
+    def test_cap_stops_before_the_edge_that_passes_it(self, max_nodes, edges):
+        system = loads_constraints(
+            "var a\nvar b\nvar c\nvar d\ncopy b a\ncopy d c\ncopy a d\n"
+        )
+        dot = constraint_graph_dot(system, max_nodes=max_nodes)
+        assert dot.count(" -> ") == edges
+        assert (f"(truncated at {max_nodes} nodes)" in dot) == (edges < 3)
+
+    @given(system=constraint_systems(), max_nodes=st.integers(1, 12))
+    @settings(max_examples=60, **COMMON)
+    def test_output_names_at_most_max_nodes(self, system, max_nodes):
+        dot = constraint_graph_dot(system, max_nodes=max_nodes)
+        named = set()
+        for line in dot.splitlines():
+            if " -> " in line:
+                tail, head = line.split(" [")[0].rstrip(";").split(" -> ")
+                named.update((tail.strip(), head.strip()))
+        assert len(named) <= max_nodes
+        if "truncated" not in dot:
+            assert dot.count(" -> ") == len(system.constraints)

@@ -28,7 +28,6 @@ class TestPaperExample:
         result = hcd_offline_analysis(b.build())
         assert result.pairs == {va: [(0, vb)]}
         assert result.direct_groups == []
-        assert result.pair_count == 1
 
 
 class TestDirectSCCs:

@@ -54,7 +54,7 @@ class TestDispatcher:
     def test_none_is_identity(self, simple_system):
         pre = preprocess_system(simple_system, "none")
         assert pre.reduced is simple_system
-        assert pre.substitution.is_identity()
+        assert pre.substitution == SubstitutionMap.identity(simple_system.num_vars)
         assert pre.constraints_deleted() == 0
         assert pre.reduction_ratio == 0.0
         solution = solve(simple_system, "naive")
@@ -202,13 +202,13 @@ class TestLatticeRules:
 class TestSubstitutionMap:
     def test_identity_constructor(self):
         sub = SubstitutionMap.identity(4)
-        assert sub.is_identity()
+        assert sub.var_to_rep == [0, 1, 2, 3]
+        assert not sub.loc_members and sub.original_ids is None
         assert sub.merged_var_count() == 0
         assert sub.merged_location_count() == 0
 
     def test_counters(self):
         sub = SubstitutionMap([0, 0, 2, 2], {2: (2, 3)})
-        assert not sub.is_identity()
         assert sub.merged_var_count() == 2
         assert sub.merged_location_count() == 1
 

@@ -34,8 +34,8 @@ class TestProtocol:
         s = family.make()
         assert s.add(3) is True
         assert s.add(3) is False
-        assert s.contains(3)
-        assert not s.contains(4)
+        assert 3 in s
+        assert 4 not in s
 
     def test_len_and_iter(self, family):
         s = family.make()
@@ -70,8 +70,8 @@ class TestProtocol:
         a.add(1)
         b = a.copy()
         b.add(2)
-        assert not a.contains(2)
-        assert b.contains(1)
+        assert 2 not in a
+        assert 1 in b
 
     def test_memory_accounting_positive(self, family):
         s = family.make()
@@ -102,7 +102,7 @@ class TestFamilySpecific:
         family = BDDPointsToFamily(0)  # clamped to 1
         s = family.make()
         s.add(0)
-        assert s.contains(0)
+        assert 0 in s
 
     def test_bitmap_memory_tracks_live_sets_only(self):
         family = BitmapPointsToFamily()
@@ -115,6 +115,24 @@ class TestFamilySpecific:
 
         gc.collect()
         assert family.memory_bytes() < before
+
+    @pytest.mark.parametrize("kind", ["bitmap", "int"])
+    def test_sets_are_the_scratch_class(self, kind):
+        family = make_family(kind, 100)
+        assert type(family.make()) is type(family.make_scratch())
+
+    @pytest.mark.parametrize("kind", ["bitmap", "int"])
+    def test_only_made_sets_are_charged(self, kind):
+        family = make_family(kind, 100)
+        made = family.make()
+        for loc in range(0, 3000, 7):
+            made.add(loc)
+        charged = family.memory_bytes()
+        copy = made.copy()
+        copy.add(5000)
+        scratch = family.make_scratch()
+        scratch.add(6000)
+        assert family.memory_bytes() == charged
 
     def test_bdd_pool_accounting_monotone(self):
         family = BDDPointsToFamily(100)

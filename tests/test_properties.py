@@ -115,7 +115,8 @@ class TestStatsInvariants:
     def test_collapse_counters_consistent(self, system):
         solver = LCDSolver(system)
         solver.solve()
-        assert solver.stats.nodes_collapsed == solver.graph.collapsed_node_count()
+        reps = len(list(solver.graph.rep_nodes()))
+        assert solver.stats.nodes_collapsed == system.num_vars - reps
         assert solver.stats.nodes_collapsed <= system.num_vars
 
     @given(constraint_systems())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph.scc import condensation, nuutila_scc, tarjan_scc
+from repro.graph.scc import nuutila_scc, tarjan_scc
 
 ALGORITHMS = [tarjan_scc, nuutila_scc]
 
@@ -110,23 +110,3 @@ class TestAgainstNetworkx:
             if position[a] != position[b]:
                 # successor components must be emitted before their preds
                 assert position[b] < position[a]
-
-
-class TestCondensation:
-    def test_condensation_shape(self):
-        edges = [(0, 1), (1, 0), (1, 2)]
-        component_of, components, dag = condensation(range(3), adjacency(edges, 3))
-        assert component_of[0] == component_of[1] != component_of[2]
-        cycle_comp = component_of[0]
-        assert dag[cycle_comp] == [component_of[2]]
-        assert dag[component_of[2]] == []
-
-    @given(edge_lists)
-    def test_condensation_is_acyclic(self, edges):
-        n = 15
-        component_of, components, dag = condensation(range(n), adjacency(edges, n))
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(len(components)))
-        for i, succs in enumerate(dag):
-            graph.add_edges_from((i, j) for j in succs)
-        assert nx.is_directed_acyclic_graph(graph)

@@ -106,12 +106,12 @@ class TestRandomizedDifferential:
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_worklist_strategies_agree(self, seed):
-        from repro.solvers.registry import make_solver
+        from repro.solvers.lcd import LCDSolver
 
         system = random_system(seed)
         reference = solve(system, "naive")
         for strategy in ("fifo", "lifo", "lrf", "divided-lrf", "divided-fifo"):
-            solver = make_solver(system, "lcd", worklist=strategy)
+            solver = LCDSolver(system, worklist=strategy)
             assert solver.solve() == reference, strategy
 
 

@@ -16,7 +16,7 @@ class TestBasics:
         assert len(s) == 0
         assert not s
         assert list(s) == []
-        assert s.block_count == 0
+        assert s.memory_bytes() == 40  # the head, no elements
 
     def test_add_returns_novelty(self):
         s = SparseBitmap()
@@ -34,18 +34,6 @@ class TestBasics:
         assert 2 not in s
         assert -5 not in s
 
-    def test_discard(self):
-        s = SparseBitmap([1, 2])
-        assert s.discard(1) is True
-        assert s.discard(1) is False
-        assert s.discard(-3) is False
-        assert sorted(s) == [2]
-
-    def test_discard_frees_empty_block(self):
-        s = SparseBitmap([3])
-        s.discard(3)
-        assert s.block_count == 0
-
     def test_iteration_is_sorted(self):
         s = SparseBitmap([500, 3, 129, 127, 128])
         assert list(s) == [3, 127, 128, 129, 500]
@@ -54,26 +42,11 @@ class TestBasics:
         boundary = BITS_PER_BLOCK
         s = SparseBitmap([boundary - 1, boundary, boundary + 1])
         assert len(s) == 3
-        assert s.block_count == 2
-
-    def test_min_max(self):
-        s = SparseBitmap([77, 3, 900])
-        assert s.min() == 3
-        assert s.max() == 900
-
-    def test_min_max_empty_raise(self):
-        with pytest.raises(ValueError):
-            SparseBitmap().min()
-        with pytest.raises(ValueError):
-            SparseBitmap().max()
+        assert s.memory_bytes() == 40 * (2 + 1)  # two elements plus the head
 
     def test_repr_small_and_large(self):
         assert "SparseBitmap" in repr(SparseBitmap([1]))
         assert "items" in repr(SparseBitmap(range(50)))
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(SparseBitmap())
 
 
 class TestSetOps:
@@ -89,42 +62,11 @@ class TestSetOps:
         a.ior(SparseBitmap([1, 129, 500]))
         assert len(a) == 3
 
-    def test_iand(self):
-        a = SparseBitmap([1, 2, 300])
-        changed = a.iand(SparseBitmap([2, 300, 400]))
-        assert changed is True
-        assert sorted(a) == [2, 300]
-        assert a.iand(SparseBitmap([2, 300])) is False
-
-    def test_iand_clears_blocks(self):
-        a = SparseBitmap([1, 500])
-        a.iand(SparseBitmap([1]))
-        assert a.block_count == 1
-
     def test_difference_update(self):
         a = SparseBitmap([1, 2, 3])
         assert a.difference_update(SparseBitmap([2, 9])) is True
         assert sorted(a) == [1, 3]
         assert a.difference_update(SparseBitmap([9])) is False
-
-    def test_intersects(self):
-        assert SparseBitmap([1, 2]).intersects(SparseBitmap([2]))
-        assert not SparseBitmap([1]).intersects(SparseBitmap([2]))
-        assert not SparseBitmap().intersects(SparseBitmap([2]))
-
-    def test_issubset(self):
-        assert SparseBitmap([1]).issubset(SparseBitmap([1, 2]))
-        assert not SparseBitmap([1, 3]).issubset(SparseBitmap([1, 2]))
-        assert SparseBitmap().issubset(SparseBitmap())
-
-    def test_difference_iter(self):
-        a = SparseBitmap([1, 2, 300])
-        b = SparseBitmap([2])
-        assert list(a.difference_iter(b)) == [1, 300]
-
-    def test_equality_with_set(self):
-        assert SparseBitmap([1, 2]) == {1, 2}
-        assert SparseBitmap([1]) != {1, 2}
 
     def test_ior_self_is_noop(self):
         """The identity short-circuit: self-union reports no change and
@@ -175,11 +117,6 @@ class TestSetOps:
         b.add(2)
         assert 2 not in a
 
-    def test_clear(self):
-        a = SparseBitmap([1, 2])
-        a.clear()
-        assert len(a) == 0 and a.block_count == 0
-
     def test_memory_bytes_grows_with_blocks(self):
         a = SparseBitmap([0])
         b = SparseBitmap([0, 10_000])
@@ -193,7 +130,7 @@ class TestProperties:
         reference = set(items)
         assert len(s) == len(reference)
         assert list(s) == sorted(reference)
-        assert s == reference
+        assert all(item in s for item in reference)
 
     @given(element_lists, element_lists)
     def test_union_matches_set_union(self, xs, ys):
@@ -204,35 +141,7 @@ class TestProperties:
         assert changed == (not set(ys) <= set(xs))
 
     @given(element_lists, element_lists)
-    def test_intersection_matches_set(self, xs, ys):
-        s = SparseBitmap(xs)
-        s.iand(SparseBitmap(ys))
-        assert set(s) == set(xs) & set(ys)
-
-    @given(element_lists, element_lists)
     def test_difference_matches_set(self, xs, ys):
         s = SparseBitmap(xs)
         s.difference_update(SparseBitmap(ys))
         assert set(s) == set(xs) - set(ys)
-
-    @given(element_lists, element_lists)
-    def test_intersects_subset_consistent(self, xs, ys):
-        a, b = SparseBitmap(xs), SparseBitmap(ys)
-        assert a.intersects(b) == bool(set(xs) & set(ys))
-        assert a.issubset(b) == (set(xs) <= set(ys))
-
-    @given(element_lists, element_lists)
-    def test_difference_iter_matches_set(self, xs, ys):
-        a, b = SparseBitmap(xs), SparseBitmap(ys)
-        assert list(a.difference_iter(b)) == sorted(set(xs) - set(ys))
-
-    @given(element_lists, elements)
-    def test_add_discard_roundtrip(self, items, x):
-        s = SparseBitmap(items)
-        was_in = x in s
-        s.add(x)
-        assert x in s
-        s.discard(x)
-        assert x not in s
-        if not was_in:
-            assert set(s) == set(items)

@@ -1,6 +1,5 @@
 """Tests for the Pearce-Kelly dynamic topological order and PKH03."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,13 +83,6 @@ class TestDynamicOrder:
         topo.set_order(1, 5)
         assert not topo.consistent(0, 1)
         assert topo.consistent(1, 0)
-
-    def test_grow(self):
-        topo = DynamicTopologicalOrder(2)
-        topo.grow(5)
-        assert topo.order_of(4) == 4
-        with pytest.raises(ValueError):
-            topo.grow(1)
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
     @settings(max_examples=80)

@@ -11,7 +11,6 @@ class TestBasics:
     def test_initial_singletons(self):
         uf = UnionFind(4)
         assert len(uf) == 4
-        assert uf.set_count == 4
         assert all(uf.find(i) == i for i in range(4))
 
     def test_negative_size_rejected(self):
@@ -21,16 +20,15 @@ class TestBasics:
     def test_union_merges(self):
         uf = UnionFind(4)
         root = uf.union(0, 1)
-        assert uf.same(0, 1)
         assert uf.find(0) == uf.find(1) == root
-        assert uf.set_count == 3
+        assert len({uf.find(i) for i in range(4)}) == 3
 
     def test_union_idempotent(self):
         uf = UnionFind(3)
         uf.union(0, 1)
-        count = uf.set_count
+        roots = [uf.find(i) for i in range(3)]
         uf.union(1, 0)
-        assert uf.set_count == count
+        assert [uf.find(i) for i in range(3)] == roots
 
     def test_union_into_prefers_winner(self):
         uf = UnionFind(5)
@@ -40,36 +38,11 @@ class TestBasics:
         assert uf.union_into(winner, uf.find(3)) == winner
         assert uf.find(4) == winner
 
-    def test_grow(self):
-        uf = UnionFind(2)
-        uf.grow(5)
-        assert len(uf) == 5
-        assert uf.find(4) == 4
-
-    def test_grow_cannot_shrink(self):
-        with pytest.raises(ValueError):
-            UnionFind(3).grow(2)
-
     def test_make_set(self):
         uf = UnionFind(1)
         node = uf.make_set()
         assert node == 1
-        assert uf.set_count == 2
-
-    def test_roots(self):
-        uf = UnionFind(3)
-        uf.union(0, 2)
-        assert sorted(uf.roots()) == sorted({uf.find(0), uf.find(1)})
-
-    def test_groups(self):
-        uf = UnionFind(4)
-        uf.union(0, 1)
-        groups = sorted(sorted(g) for g in uf.groups())
-        assert [0, 1] in groups
-
-    def test_from_groups(self):
-        uf = UnionFind.from_groups(5, [[0, 1, 2], [3, 4]])
-        assert uf.same(0, 2) and uf.same(3, 4) and not uf.same(0, 3)
+        assert len(uf) == 2 and uf.find(node) == node
 
 
 class TestProperties:
@@ -95,8 +68,8 @@ class TestProperties:
 
         for i in range(size):
             for j in range(size):
-                assert uf.same(i, j) == (handle[i] == handle[j])
-        assert uf.set_count == len(partition)
+                assert (uf.find(i) == uf.find(j)) == (handle[i] == handle[j])
+        assert len({uf.find(i) for i in range(size)}) == len(partition)
 
     @given(
         st.integers(min_value=2, max_value=30),
