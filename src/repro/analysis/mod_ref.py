@@ -27,14 +27,11 @@ class ModRefAnalysis:
 
     def _targets(self, pointer: int, offset: int) -> FrozenSet[int]:
         """Locations reached by ``*(pointer + offset)``."""
-        result = set()
+        pointees = self.solution.points_to(pointer)
+        if offset == 0:
+            return pointees
         max_offset = self.system.max_offset
-        for loc in self.solution.points_to(pointer):
-            if offset == 0:
-                result.add(loc)
-            elif max_offset[loc] >= offset:
-                result.add(loc + offset)
-        return frozenset(result)
+        return frozenset(loc + offset for loc in pointees if max_offset[loc] >= offset)
 
     def written_through(self, pointer: int, offset: int = 0) -> FrozenSet[int]:
         """Locations a store ``*(pointer+offset) = ...`` may modify."""

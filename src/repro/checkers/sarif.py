@@ -25,6 +25,7 @@ from repro.checkers.registry import registered_checkers
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 TOOL_NAME = "repro-check"
+TOOL_VERSION = "0.1.0"
 TOOL_URI = "https://dl.acm.org/doi/10.1145/1250734.1250767"
 
 #: The SARIF result levels the checkers use (``none`` exists in the
@@ -40,7 +41,7 @@ def _physical_location(file: str, line: int) -> Dict[str, Any]:
     return {"physicalLocation": physical}
 
 
-def to_sarif(report: CheckReport, tool_version: str = "0.1.0") -> Dict[str, Any]:
+def to_sarif(report: CheckReport) -> Dict[str, Any]:
     """Serialize a report as one SARIF run."""
     rules = [
         {
@@ -88,7 +89,7 @@ def to_sarif(report: CheckReport, tool_version: str = "0.1.0") -> Dict[str, Any]
                 "tool": {
                     "driver": {
                         "name": TOOL_NAME,
-                        "version": tool_version,
+                        "version": TOOL_VERSION,
                         "informationUri": TOOL_URI,
                         "rules": rules,
                     }

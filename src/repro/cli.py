@@ -104,9 +104,10 @@ def _resolve_replay_flags(
     header: Optional[Dict[str, str]] = None,
     path: str = "",
     header_line: int = 0,
-) -> None:
+) -> Dict[str, object]:
     """Fill in the algorithm, ``--pts``, ``--opt`` and ``--k-cs``
-    sentinels on ``args``, and ``--sanitize`` when it is off.
+    sentinels on ``args``, and ``--sanitize`` when it is off; return the
+    run's solver options, which the command passes on unchanged.
 
     A value the user passed explicitly always wins; otherwise a repro
     header's recorded value is adopted (with a stderr note, so replays
@@ -162,6 +163,7 @@ def _resolve_replay_flags(
             + (f" of {path}" if path else ""),
             file=sys.stderr,
         )
+    return {"pts": args.pts, "sanitize": args.sanitize, "opt": args.opt, "k_cs": args.k_cs}
 
 
 def _algorithm_list(spec: str, allow_all: bool = False) -> List[str]:
@@ -181,11 +183,8 @@ def _algorithm_list(spec: str, allow_all: bool = False) -> List[str]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     system, header, header_line = _read_system_and_header(args.file)
-    _resolve_replay_flags(args, "hu", header, args.file, header_line)
-    solver = make_solver(
-        system, args.algorithm, pts=args.pts, sanitize=args.sanitize,
-        opt=args.opt, k_cs=args.k_cs,
-    )
+    options = _resolve_replay_flags(args, "hu", header, args.file, header_line)
+    solver = make_solver(system, args.algorithm, **options)
     solution = solver.solve()
 
     if args.json:
@@ -225,11 +224,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     program = _read_program(args.file, args.field_mode)
     system = program.system
-    _resolve_replay_flags(args, "hu")
-    solver = make_solver(
-        system, args.algorithm, pts=args.pts, sanitize=args.sanitize,
-        opt=args.opt, k_cs=args.k_cs,
-    )
+    options = _resolve_replay_flags(args, "hu")
+    solver = make_solver(system, args.algorithm, **options)
     solution = solver.solve()
     render = PointeeRenderer(system.names)
 
@@ -283,13 +279,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     system, program, header, header_line = _load_checkable(
         args.file, args.field_mode
     )
-    _resolve_replay_flags(args, "hu", header, args.file, header_line)
-    solver = make_solver(
-        system, args.solver, pts=args.pts, sanitize=args.sanitize,
-        opt=args.opt, k_cs=args.k_cs,
-    )
+    options = _resolve_replay_flags(args, "hu", header, args.file, header_line)
+    solver = make_solver(system, args.solver, **options)
     solution = solver.solve()
-    expansion = getattr(solver, "context", None)
+    expansion = solver.context
     report = run_checkers(
         system,
         solution,
@@ -393,7 +386,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     system, header, header_line = _read_system_and_header(args.file)
-    _resolve_replay_flags(args, "hu", header, args.file, header_line)
+    options = _resolve_replay_flags(args, "hu", header, args.file, header_line)
     algorithms = _algorithm_list(args.algorithms)
     table = Table(
         f"comparison on {args.file}",
@@ -403,10 +396,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     reference = None
     ctx_summary = ""
     for algorithm in algorithms:
-        solver = make_solver(
-            system, algorithm, pts=args.pts, sanitize=args.sanitize,
-            opt=args.opt, k_cs=args.k_cs,
-        )
+        solver = make_solver(system, algorithm, **options)
         solution = solver.solve()
         if reference is None:
             reference = solution
@@ -436,7 +426,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify.certifier import certify
 
     system, header, header_line = _read_system_and_header(args.file)
-    _resolve_replay_flags(args, "hu", header, args.file, header_line)
+    options = _resolve_replay_flags(args, "hu", header, args.file, header_line)
     algorithms = _algorithm_list(args.algorithms, allow_all=True)
     families = list(FAMILY_KINDS) if args.pts == "all" else [args.pts]
 
@@ -448,22 +438,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures = []
     for algorithm in algorithms:
         for family in families:
-            solver = make_solver(
-                system, algorithm, pts=family, sanitize=args.sanitize,
-                opt=args.opt, k_cs=args.k_cs,
+            solver = make_solver(system, algorithm, **{**options, "pts": family})
+            # k-CFA certification runs in clone space: the projected
+            # solution is strictly *more* precise than the insensitive
+            # least model, so the original constraints would reject it.
+            # The expanded system has standard semantics, so the same
+            # independent certifier covers cloning + opt + solving.
+            certified_system = (
+                solver.context.expanded if solver.context is not None else system
             )
-            solution = solver.solve()
-            if args.k_cs and solver.context is not None:
-                # k-CFA certification runs in clone space: the projected
-                # solution is strictly *more* precise than the insensitive
-                # least model, so the original constraints would reject it.
-                # The expanded system has standard semantics, so the same
-                # independent certifier covers cloning + opt + solving.
-                certified_system = solver.context.expanded
-                report = certify(certified_system, solver.context_solution())
-            else:
-                certified_system = system
-                report = certify(system, solution)
+            report = certify(certified_system, solver.context_solution())
             table.add_row(
                 [
                     solver.full_name,
@@ -495,17 +479,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     )
 
     system, header, header_line = _read_system_and_header(args.file)
-    _resolve_replay_flags(args, "none", header, args.file, header_line)
+    options = _resolve_replay_flags(args, "none", header, args.file, header_line)
     if args.check == "certify":
-        predicate = certifier_rejects(
-            args.algorithm, pts=args.pts, sanitize=args.sanitize,
-            opt=args.opt, k_cs=args.k_cs,
-        )
+        predicate = certifier_rejects(args.algorithm, **options)
     else:
-        predicate = solvers_disagree(
-            args.algorithm, args.against, pts=args.pts, sanitize=args.sanitize,
-            opt=args.opt, k_cs=args.k_cs,
-        )
+        predicate = solvers_disagree(args.algorithm, args.against, **options)
     result = minimize_system(system, predicate)
     config = {"check": args.check, "algorithm": args.algorithm}
     if args.check == "disagree":

@@ -41,15 +41,6 @@ class DataflowStats:
     propagations: int = 0
     seconds: float = 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "nodes": float(self.nodes),
-            "edges": float(self.edges),
-            "seeds": float(self.seeds),
-            "propagations": float(self.propagations),
-            "seconds": self.seconds,
-        }
-
 
 #: Sentinel predecessor id marking a seeded fact (no inbound edge).
 SEED_PRED = -1

@@ -35,7 +35,7 @@ from repro.dataflow.events import (
     ThreadSpawn,
 )
 from repro.frontend import cast as ast
-from repro.frontend.stubs import DEFAULT_STUBS, Stub
+from repro.frontend.stubs import DEFAULT_STUBS
 
 #: An lvalue is either a variable node or a dereference of a pointer node.
 #: Lvalues: ("var", node) — a direct slot; ("deref", ptr, k) — the
@@ -84,11 +84,7 @@ class GenError(ValueError):
 class ConstraintGenerator:
     """Walks a translation unit, emitting constraints into a builder."""
 
-    def __init__(
-        self,
-        stubs: Optional[Dict[str, Stub]] = None,
-        field_mode: str = "insensitive",
-    ) -> None:
+    def __init__(self, field_mode: str = "insensitive") -> None:
         if field_mode not in ("insensitive", "based", "sensitive"):
             raise ValueError(
                 "field_mode must be 'insensitive', 'based' or 'sensitive'"
@@ -116,9 +112,6 @@ class ConstraintGenerator:
         #: typed declarations around malloc-family calls).
         self._alloc_tag: Optional[str] = None
         self.builder = ConstraintBuilder()
-        self.stubs: Dict[str, Stub] = dict(DEFAULT_STUBS)
-        if stubs:
-            self.stubs.update(stubs)
         self._globals: Dict[str, int] = {}
         self._functions: Dict[str, FunctionHandle] = {}
         self._scopes: List[Dict[str, int]] = []
@@ -464,7 +457,7 @@ class ConstraintGenerator:
                 return result
             if local is None and handle is None:
                 self._prov(expr.line, "Call")
-                stub = self.stubs.get(name)
+                stub = DEFAULT_STUBS.get(name)
                 if stub is not None:
                     return stub(self, args, expr.line)
                 return self.unknown_object(name, expr.line)
@@ -883,7 +876,6 @@ class ConstraintGenerator:
 
 def generate_constraints(
     source_or_unit: Union[str, ast.TranslationUnit],
-    stubs: Optional[Dict[str, Stub]] = None,
     field_mode: str = "insensitive",
 ) -> GeneratedProgram:
     """Lower C-subset source (or an already-parsed unit) to constraints.
@@ -898,4 +890,4 @@ def generate_constraints(
         unit = parse_translation_unit(source_or_unit)
     else:
         unit = source_or_unit
-    return ConstraintGenerator(stubs, field_mode=field_mode).generate(unit)
+    return ConstraintGenerator(field_mode=field_mode).generate(unit)

@@ -116,7 +116,11 @@ class SolverStats:
 
 
 class BaseSolver:
-    """Common solver shell: naming, timing, stats, solution export."""
+    """Common solver shell: naming, timing, stats, solution export.
+
+    The only place a run's options and their defaults are declared;
+    subclasses take their own extra options and forward the rest here.
+    """
 
     #: Registry name; subclasses override.
     name = "abstract"
@@ -130,20 +134,30 @@ class BaseSolver:
         opt: str = "none",
         k_cs: int = 0,
     ) -> None:
-        #: The system as handed in — solutions are always exported in its
-        #: variable space, whatever ``--k-cs`` / ``--opt`` did to the
-        #: constraints.
-        self.original_system = system
-        self.opt = opt
-        self.k_cs = int(k_cs)
+        """Run the offline pipeline on ``system``; solving waits for :meth:`solve`.
+
+        ``pts`` names the points-to family (:data:`repro.points_to
+        .interface.FAMILY_KINDS`) and ``hcd`` composes Hybrid Cycle
+        Detection's offline pass with the solver.  ``sanitize`` installs
+        the :mod:`repro.verify.sanitizer` invariant checks at the
+        solver's collapse/propagate boundaries.  ``k_cs`` selects k-CFA
+        context sensitivity (:mod:`repro.contexts`): the system is cloned
+        per bounded call string, and the solution is projected back onto
+        the base variables.  ``opt`` selects the offline optimization
+        stage (:data:`repro.preprocess.hvn.OPT_STAGES`) run on the
+        (cloned) constraints; solutions are expanded back to the
+        original variable space.  Solvers built on one system object
+        share its offline stages
+        (:meth:`~repro.constraints.model.ConstraintSystem.derived`).
+        """
         self.preprocess: Optional[PreprocessResult] = None
         self.context: Optional[ContextExpansion] = None
         self.stats = SolverStats()
-        if self.k_cs:
+        if k_cs:
             # Context expansion runs before *everything* else in the
             # offline pipeline: the opt stage and HCD's offline pass analyze the
             # cloned constraint system the solver will actually solve.
-            context = expand_contexts(system, self.k_cs)
+            context = expand_contexts(system, k_cs)
             self.context = context
             system = context.expanded
             self.stats.ctx = context.stats
@@ -234,21 +248,12 @@ class GraphSolver(BaseSolver):
     """
 
     def __init__(
-        self,
-        system: ConstraintSystem,
-        pts: str = "bitmap",
-        hcd: bool = False,
-        worklist: str = "divided-lrf",
-        sanitize: bool = False,
-        opt: str = "none",
-        k_cs: int = 0,
+        self, system: ConstraintSystem, worklist: str = "divided-lrf", **options
     ) -> None:
-        super().__init__(
-            system, pts=pts, hcd=hcd, sanitize=sanitize, opt=opt, k_cs=k_cs
-        )
+        super().__init__(system, **options)
         system = self.system  # the (possibly) offline-reduced system
         self.worklist_strategy = worklist
-        self.family: PointsToFamily = make_family(pts, system.num_vars)
+        self.family: PointsToFamily = make_family(self.pts_kind, system.num_vars)
         self.graph = ConstraintGraph(system, self.family)
         #: HCD pair list L, keyed by current representative.
         self._hcd_pairs: Dict[int, List[Tuple[int, int]]] = {}

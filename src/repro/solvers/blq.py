@@ -41,18 +41,10 @@ class BLQSolver(BaseSolver):
     BYTES_PER_NODE = 24
 
     def __init__(
-        self,
-        system: ConstraintSystem,
-        pts: str = "bdd",  # accepted for interface parity; always BDD-based
-        hcd: bool = False,
-        interleave: bool = True,
-        sanitize: bool = False,
-        opt: str = "none",
-        k_cs: int = 0,
+        self, system: ConstraintSystem, interleave: bool = True, **options
     ) -> None:
-        super().__init__(
-            system, pts=pts, hcd=hcd, sanitize=sanitize, opt=opt, k_cs=k_cs
-        )
+        # Always BDD-based: ``pts`` is accepted for interface parity and unused.
+        super().__init__(system, **options)
         system = self.system  # the (possibly) offline-reduced system
         n = max(system.num_vars, 1)
         self._alloc = DomainAllocator(

@@ -23,26 +23,9 @@ class HCDSolver(NaiveSolver):
 
     name = "hcd"
 
-    def __init__(
-        self,
-        system: ConstraintSystem,
-        pts: str = "bitmap",
-        hcd: bool = True,
-        worklist: str = "divided-lrf",
-        sanitize: bool = False,
-        opt: str = "none",
-        k_cs: int = 0,
-    ) -> None:
+    def __init__(self, system: ConstraintSystem, **options) -> None:
         # HCD *is* the algorithm here; it cannot be switched off.
-        super().__init__(
-            system,
-            pts=pts,
-            hcd=True,
-            worklist=worklist,
-            sanitize=sanitize,
-            opt=opt,
-            k_cs=k_cs,
-        )
+        super().__init__(system, **{**options, "hcd": True})
 
     @property
     def full_name(self) -> str:

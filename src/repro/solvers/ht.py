@@ -37,20 +37,10 @@ class HTSolver(BaseSolver):
 
     name = "ht"
 
-    def __init__(
-        self,
-        system: ConstraintSystem,
-        pts: str = "bitmap",
-        hcd: bool = False,
-        sanitize: bool = False,
-        opt: str = "none",
-        k_cs: int = 0,
-    ) -> None:
-        super().__init__(
-            system, pts=pts, hcd=hcd, sanitize=sanitize, opt=opt, k_cs=k_cs
-        )
+    def __init__(self, system: ConstraintSystem, **options) -> None:
+        super().__init__(system, **options)
         system = self.system  # the (possibly) offline-reduced system
-        self.family = make_family(pts, system.num_vars)
+        self.family = make_family(self.pts_kind, system.num_vars)
         n = system.num_vars
         self.uf = UnionFind(n)
         #: preds[a] holds b  <=>  edge b -> a  <=>  pts(a) >= pts(b)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Set, Tuple
 
 from repro.analysis.solution import PointsToSolution
+from repro.constraints.model import ConstraintSystem
 from repro.datastructs.worklist import make_worklist
 from repro.graph.scc import nuutila_scc
 from repro.solvers.base import GraphSolver
@@ -38,8 +39,10 @@ class LCDSolver(GraphSolver):
 
     name = "lcd"
 
-    def __init__(self, *args, once_per_edge: bool = True, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self, system: ConstraintSystem, once_per_edge: bool = True, **options
+    ) -> None:
+        super().__init__(system, **options)
         self.once_per_edge = once_per_edge
 
     def _run(self) -> PointsToSolution:

@@ -37,25 +37,8 @@ class PKH03Solver(GraphSolver):
 
     name = "pkh03"
 
-    def __init__(
-        self,
-        system: ConstraintSystem,
-        pts: str = "bitmap",
-        hcd: bool = False,
-        worklist: str = "divided-lrf",
-        sanitize: bool = False,
-        opt: str = "none",
-        k_cs: int = 0,
-    ) -> None:
-        super().__init__(
-            system,
-            pts=pts,
-            hcd=hcd,
-            worklist=worklist,
-            sanitize=sanitize,
-            opt=opt,
-            k_cs=k_cs,
-        )
+    def __init__(self, system: ConstraintSystem, **options) -> None:
+        super().__init__(system, **options)
         system = self.system  # the (possibly) offline-reduced system
         self.topo = DynamicTopologicalOrder(system.num_vars)
         #: preds mirror of the successor sets, for the backward searches.

@@ -64,11 +64,13 @@ def available_solvers() -> List[str]:
 
     Every name returned here computes the *identical* solution; the
     precision baselines (``steensgaard``) are accepted by
-    :func:`make_solver` but deliberately excluded.
+    :func:`make_solver` but deliberately excluded.  ``hcd`` is the naive
+    solver with HCD forced on, so ``naive+hcd`` is not listed (it, like
+    ``hcd+hcd``, resolves to ``hcd``).
     """
     names = sorted(_BASE_SOLVERS)
     names.extend(
-        f"{base}+hcd" for base in sorted(_BASE_SOLVERS) if base != "hcd"
+        f"{base}+hcd" for base in sorted(_BASE_SOLVERS) if base not in ("hcd", "naive")
     )
     return names
 
@@ -92,48 +94,28 @@ def solver_class(algorithm: str) -> Tuple[Type[BaseSolver], bool]:
     if solver_cls is None:
         known = ", ".join(all_solvers())
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
-    if solver_cls is HCDSolver and hcd:
-        hcd = False  # "hcd+hcd" is just hcd
+    if hcd and solver_cls in (HCDSolver, NaiveSolver):
+        # "hcd+hcd" and "naive+hcd" are just hcd.
+        solver_cls, hcd = HCDSolver, False
     return solver_cls, hcd
 
 
 def make_solver(
-    system: ConstraintSystem,
-    algorithm: str = "lcd+hcd",
-    pts: str = "bitmap",
-    sanitize: bool = False,
-    opt: str = "none",
-    k_cs: int = 0,
+    system: ConstraintSystem, algorithm: str = "lcd+hcd", **options
 ) -> BaseSolver:
     """Instantiate a solver by name (without running it).
 
-    ``sanitize`` installs the :mod:`repro.verify.sanitizer` invariant checks at the
-    solver's collapse/propagate boundaries.  ``opt`` selects the offline
-    optimization stage (:data:`repro.preprocess.hvn.OPT_STAGES`) run on
-    the constraints before solving; solutions are transparently expanded
-    back to the original variable space.  ``k_cs`` selects k-CFA context
-    sensitivity (:mod:`repro.contexts`): the system is cloned per
-    bounded call string before the ``opt`` stage, and the solution is
-    projected back onto the base variables — composable with every
-    algorithm, points-to family and optimization stage.  Solvers built
-    on one system object share its offline stages
-    (:meth:`~repro.constraints.model.ConstraintSystem.derived`).
+    ``options`` are the run's options (``pts``, ``sanitize``, ``opt``,
+    ``k_cs``), declared with their defaults by
+    :class:`~repro.solvers.base.BaseSolver`; every option composes with
+    every algorithm.
     """
     solver_cls, hcd = solver_class(algorithm)
-    return solver_cls(
-        system, pts=pts, hcd=hcd, sanitize=sanitize, opt=opt, k_cs=k_cs
-    )
+    return solver_cls(system, hcd=hcd, **options)
 
 
 def solve(
-    system: ConstraintSystem,
-    algorithm: str = "lcd+hcd",
-    pts: str = "bitmap",
-    sanitize: bool = False,
-    opt: str = "none",
-    k_cs: int = 0,
+    system: ConstraintSystem, algorithm: str = "lcd+hcd", **options
 ) -> PointsToSolution:
     """One-call API: build the named solver and return its solution."""
-    return make_solver(
-        system, algorithm, pts=pts, sanitize=sanitize, opt=opt, k_cs=k_cs
-    ).solve()
+    return make_solver(system, algorithm, **options).solve()

@@ -46,20 +46,14 @@ class SteensgaardSolver(BaseSolver):
 
     name = "steensgaard"
 
-    def __init__(
-        self,
-        system: ConstraintSystem,
-        pts: str = "bitmap",  # accepted for interface parity; unused
-        hcd: bool = False,  # HCD is meaningless under unification
-        sanitize: bool = False,
-        opt: str = "none",  # accepted for interface parity; always "none"
-        k_cs: int = 0,
-    ) -> None:
-        # OVS/HU merges are proven against the *inclusion-based* least
-        # model; unification-based analysis computes a different relation,
-        # so the substitution contract does not apply — run unoptimized.
-        # Context expansion is plain cloning, which unification handles.
-        super().__init__(system, pts=pts, hcd=False, sanitize=sanitize, k_cs=k_cs)
+    def __init__(self, system: ConstraintSystem, **options) -> None:
+        # ``pts`` is accepted for interface parity and unused, and HCD is
+        # meaningless under unification.  OVS/HU merges are proven against
+        # the *inclusion-based* least model; unification-based analysis
+        # computes a different relation, so the substitution contract does
+        # not apply — run unoptimized.  Context expansion is plain
+        # cloning, which unification handles.
+        super().__init__(system, **{**options, "hcd": False, "opt": "none"})
         system = self.system  # the (possibly) context-expanded system
         n = system.num_vars
         self.uf = UnionFind(n)

@@ -112,28 +112,21 @@ def ddmin(
 
 
 def minimize_system(
-    system: ConstraintSystem,
-    predicate: Predicate,
-    pin_function_bases: bool = True,
+    system: ConstraintSystem, predicate: Predicate
 ) -> MinimizationResult:
     """Shrink ``system`` to a locally minimal subset still failing
     ``predicate``.
 
     Raises ``ValueError`` if the predicate does not hold for the full
-    input (nothing to minimize).  ``pin_function_bases`` keeps the
-    self-base constraint of every declared function in each candidate,
-    because the text format's ``fun`` directive re-creates it on parse —
-    without pinning, a written repro would replay to a different system.
+    input (nothing to minimize).  The self-base constraint of every
+    declared function is kept in each candidate, because the text
+    format's ``fun`` directive re-creates it on parse — without pinning,
+    a written repro would replay to a different system.
     """
     tests = [0]
     pinned: List[Constraint] = []
     candidates: List[Constraint] = []
-    if pin_function_bases:
-        function_bases = {
-            (info.node, info.node) for info in system.functions.values()
-        }
-    else:
-        function_bases = set()
+    function_bases = {(info.node, info.node) for info in system.functions.values()}
     for constraint in system.constraints:
         if (
             constraint.kind is ConstraintKind.BASE
@@ -178,15 +171,11 @@ def minimize_system(
 # ----------------------------------------------------------------------
 
 
-def certifier_rejects(
-    algorithm: str = "lcd+hcd",
-    pts: str = "bitmap",
-    sanitize: bool = False,
-    opt: str = "none",
-    k_cs: int = 0,
-) -> Predicate:
+def certifier_rejects(algorithm: str = "lcd+hcd", **options) -> Predicate:
     """Predicate: the certifier rejects ``algorithm``'s solution (or the
     sanitizer aborts the run with an :class:`InvariantViolation`).
+    ``options`` are the run's solver options (see
+    :class:`~repro.solvers.base.BaseSolver`).
 
     At ``k_cs > 0`` the certifier checks the clone-space solution against
     the context-expanded system — the projected solution is strictly more
@@ -198,32 +187,21 @@ def certifier_rejects(
     from repro.verify.sanitizer import InvariantViolation
 
     def predicate(system: ConstraintSystem) -> bool:
-        solver = make_solver(
-            system, algorithm, pts=pts, sanitize=sanitize, opt=opt, k_cs=k_cs,
-        )
+        solver = make_solver(system, algorithm, **options)
         try:
-            solution = solver.solve()
+            solution = solver.context_solution()
         except InvariantViolation:
             return True
-        if k_cs and solver.context is not None:
-            return not certify(
-                solver.context.expanded, solver.context_solution()
-            ).ok
-        return not certify(system, solution).ok
+        certified = solver.context.expanded if solver.context is not None else system
+        return not certify(certified, solution).ok
 
     return predicate
 
 
-def solvers_disagree(
-    algorithm_a: str,
-    algorithm_b: str,
-    pts: str = "bitmap",
-    sanitize: bool = False,
-    opt: str = "none",
-    k_cs: int = 0,
-) -> Predicate:
+def solvers_disagree(algorithm_a: str, algorithm_b: str, **options) -> Predicate:
     """Predicate: two solvers produce different solutions (or the
     sanitizer aborts either run with an :class:`InvariantViolation`).
+    ``options`` are the run's solver options, shared by both runs.
 
     Solutions are compared in the base variable space (k-CFA runs project
     back before returning), so any ``k_cs`` composes with any pair.
@@ -231,15 +209,10 @@ def solvers_disagree(
     from repro.solvers.registry import solve
     from repro.verify.sanitizer import InvariantViolation
 
-    def run(system: ConstraintSystem, algorithm: str):
-        return solve(
-            system, algorithm, pts=pts, sanitize=sanitize, opt=opt, k_cs=k_cs,
-        )
-
     def predicate(system: ConstraintSystem) -> bool:
         try:
-            first = run(system, algorithm_a)
-            second = run(system, algorithm_b)
+            first = solve(system, algorithm_a, **options)
+            second = solve(system, algorithm_b, **options)
         except InvariantViolation:
             return True
         return first != second

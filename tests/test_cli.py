@@ -402,6 +402,8 @@ class TestReplayHeader:
         [
             ("algorithm=wave", "unknown algorithm 'wave'; valid: blq, hcd, ht"),
             ("algorithm=lcd against=wave", "unknown algorithm 'wave'; valid:"),
+            # An alias of hcd is accepted by --algorithm, never recorded.
+            ("algorithm=naive+hcd", "unknown algorithm 'naive+hcd'; valid:"),
             ("sanitize=yes", "unknown sanitize value 'yes'; valid: 0, 1\n"),
         ],
     )

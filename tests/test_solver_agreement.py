@@ -21,18 +21,21 @@ from strategies import constraint_systems, k_levels, opt_stages, pts_families
 
 ALGORITHMS = available_solvers()
 GRAPH_ALGORITHMS = [a for a in ALGORITHMS if not a.startswith("blq")]
+#: Parametrized rows: every configuration plus the ``naive+hcd`` alias,
+#: which must keep building an ``hcd`` solver that agrees.
+ALGORITHM_ROWS = ALGORITHMS + ["naive+hcd"]
 
 
 class TestFixedSystems:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_ROWS)
     def test_simple_system(self, simple_system, algorithm):
         assert solve(simple_system, algorithm) == solve(simple_system, "naive")
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_ROWS)
     def test_cycle_system(self, cycle_system, algorithm):
         assert solve(cycle_system, algorithm) == solve(cycle_system, "naive")
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_ROWS)
     @pytest.mark.parametrize("pts", list(FAMILY_KINDS))
     def test_all_representations(self, simple_system, algorithm, pts):
         assert solve(simple_system, algorithm, pts=pts) == solve(simple_system, "naive")
@@ -120,7 +123,7 @@ class TestIntFamily:
     word-parallel (``fresh``) and runs LCD's batched-trigger loop — so
     its bar is *bit-identical* to bitmaps for every algorithm."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_ROWS)
     def test_every_solver_on_fixtures(self, simple_system, cycle_system, algorithm):
         for system in (simple_system, cycle_system):
             assert solve(system, algorithm, pts="int") == solve(
@@ -327,7 +330,7 @@ class TestOptStages:
     every stage, under every algorithm and family, yields the exact
     solution of the unoptimized system after expansion."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_ROWS)
     @pytest.mark.parametrize("stage", OPT_STAGES)
     def test_every_solver_every_stage(
         self, simple_system, cycle_system, algorithm, stage
@@ -401,7 +404,7 @@ class TestContextSensitivity:
     projected k-sensitive solution must be pointwise contained in the
     insensitive one (the paper's precision order)."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_ROWS)
     @pytest.mark.parametrize("k", K_LEVELS)
     def test_every_solver_every_k(self, call_system, algorithm, k):
         reference = solve(call_system, "naive", k_cs=k)

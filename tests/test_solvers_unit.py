@@ -9,7 +9,13 @@ from repro.solvers.ht import HTSolver
 from repro.solvers.lcd import LCDSolver
 from repro.solvers.naive import NaiveSolver
 from repro.solvers.pkh import PKHSolver
-from repro.solvers.registry import PAPER_ALGORITHMS, available_solvers, make_solver, solve
+from repro.solvers.registry import (
+    PAPER_ALGORITHMS,
+    all_solvers,
+    available_solvers,
+    make_solver,
+    solve,
+)
 
 ALL_SOLVER_CLASSES = [NaiveSolver, HTSolver, PKHSolver, BLQSolver, LCDSolver, HCDSolver]
 
@@ -262,6 +268,12 @@ class TestRegistry:
         solver = make_solver(simple_system, "hcd+hcd")
         assert solver.full_name == "hcd"
 
+    def test_naive_plus_hcd_is_hcd(self, simple_system):
+        assert "naive+hcd" not in available_solvers()
+        solver = make_solver(simple_system, "naive+hcd")
+        assert isinstance(solver, HCDSolver)
+        assert solver.full_name == "hcd"
+
     def test_unknown_rejected(self, simple_system):
         with pytest.raises(ValueError):
             make_solver(simple_system, "das-one-level-flow")
@@ -271,3 +283,18 @@ class TestRegistry:
 
     def test_case_insensitive(self, simple_system):
         assert make_solver(simple_system, " LCD+HCD ").hcd_enabled
+
+
+@pytest.mark.parametrize("algorithm", all_solvers())
+def test_options_forward_to_base_solver(simple_system, algorithm):
+    """BaseSolver alone declares a run's options; every solver forwards
+    them there and keeps only its own extras."""
+    with pytest.raises(TypeError):
+        make_solver(simple_system, algorithm, no_such_option=True)
+    solver = make_solver(simple_system, algorithm, opt="hu", k_cs=1, sanitize=True)
+    assert solver.context is not None
+    assert solver.sanitizer is not None
+    # Steensgaard pins opt="none": HU's merges assume inclusion semantics.
+    assert (solver.preprocess is None) == (algorithm == "steensgaard")
+    hcd = algorithm == "hcd" or algorithm.endswith("+hcd")
+    assert make_solver(simple_system, algorithm).hcd_enabled == hcd

@@ -18,7 +18,9 @@ from repro.solvers.registry import available_solvers, make_solver, solve
 from repro.verify import certify
 from repro.workloads import generate_workload
 
-ALGORITHMS = available_solvers()
+#: Every configuration plus the ``naive+hcd`` alias, which must keep
+#: building an ``hcd`` solver that certifies.
+ALGORITHMS = available_solvers() + ["naive+hcd"]
 
 
 def _drop_fact(solution, system):
