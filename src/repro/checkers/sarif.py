@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+import repro
 from repro.checkers.diagnostics import (
     CheckReport,
     Diagnostic,
@@ -25,7 +26,6 @@ from repro.checkers.registry import registered_checkers
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 TOOL_NAME = "repro-check"
-TOOL_VERSION = "0.1.0"
 TOOL_URI = "https://dl.acm.org/doi/10.1145/1250734.1250767"
 
 #: The SARIF result levels the checkers use (``none`` exists in the
@@ -89,7 +89,9 @@ def to_sarif(report: CheckReport) -> Dict[str, Any]:
                 "tool": {
                     "driver": {
                         "name": TOOL_NAME,
-                        "version": TOOL_VERSION,
+                        # Read at call time: ``repro`` may still be
+                        # importing when this module loads.
+                        "version": repro.__version__,
                         "informationUri": TOOL_URI,
                         "rules": rules,
                     }

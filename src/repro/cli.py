@@ -31,7 +31,7 @@ import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.callgraph import build_call_graph
-from repro.analysis.export import PointeeRenderer
+from repro.analysis.export import PointeeRenderer, indented_json
 from repro.constraints.parser import (
     ConstraintParseError,
     parse_repro_header,
@@ -271,8 +271,6 @@ def _load_checkable(path: str, field_mode: str):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
-
     from repro.checkers import Severity, run_checkers, to_sarif
     from repro.checkers.baseline import apply_baseline
 
@@ -307,9 +305,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             )
 
     if args.format == "sarif":
-        rendered = json.dumps(to_sarif(report), indent=2) + "\n"
+        rendered = indented_json(to_sarif(report)) + "\n"
     elif args.format == "json":
-        rendered = json.dumps(
+        rendered = indented_json(
             [
                 {
                     "rule": d.rule,
@@ -324,8 +322,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     ],
                 }
                 for d in report
-            ],
-            indent=2,
+            ]
         ) + "\n"
     else:
         rendered = report.to_text()

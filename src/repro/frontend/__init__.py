@@ -1,7 +1,7 @@
 """A from-scratch front-end for a C subset.
 
 The paper generates constraints from C programs with the CIL front-end;
-this package plays that role for a realistic C subset: a hand-written
+this package plays that role for a realistic C subset: a master-regex
 lexer (:mod:`~repro.frontend.lexer`), a recursive-descent parser producing
 a typed AST (:mod:`~repro.frontend.parser`, :mod:`~repro.frontend.cast`),
 and a constraint generator (:mod:`~repro.frontend.generator`) that lowers

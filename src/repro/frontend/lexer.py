@@ -1,16 +1,31 @@
 """Tokenizer for the C subset.
 
-Hand-written single-pass scanner: identifiers/keywords, integer, float,
+One master regular expression scans the source: each token kind, each
+kind of text between tokens (blanks, newlines, comments, preprocessor
+lines) and each lexical error is a named alternative, and
+:func:`tokenize` dispatches on the name of the alternative that matched.
+The pattern is compiled on the first call, not at import: commands that
+never read C do not pay for it.  Identifiers/keywords, integer, float,
 character and string literals, the full C operator set, and both comment
 styles.  Line/column positions ride along on every token for error
 reporting in the parser.
+
+The scanner classifies characters as ``str.isalpha`` (identifier start),
+``str.isalnum`` (identifier continuation) and ``str.isdigit`` (number
+digits) do.  A regex's ``\\w`` is exactly ``isalnum`` plus ``_`` and its
+``\\d`` is ``str.isdecimal``, so ``[^\\W\\d]`` is an identifier start and
+``\\d`` a digit for every character except the *odd* ones: those ``\\w``
+takes that are neither letters nor decimal digits, such as ``²`` (a digit
+to ``isdigit``), ``½`` and ``Ⅷ``.  A source holding odd characters gets
+a pattern that lists them (see :func:`_odd_characters`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
+import functools
+import re
+from typing import Callable, Iterator, List, NamedTuple
 
 KEYWORDS = frozenset(
     {
@@ -43,18 +58,11 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
     column: int
-
-    def is_op(self, text: str) -> bool:
-        return self.kind is TokenKind.OP and self.text == text
-
-    def is_keyword(self, text: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == text
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.text!r}@{self.line}:{self.column}"
@@ -70,126 +78,119 @@ class LexError(ValueError):
         self.column = column
 
 
+#: The master pattern.  Every match is a run of blanks and then one
+#: alternative, so blanks cost no iteration of their own.  Alternatives
+#: that can start with the same text are ordered as the C rules want:
+#: comments before the ``/`` operators, floats before integers (``1.5``
+#: is not ``1``), hexadecimal before decimal (``0x1`` is not ``0``),
+#: ``.5`` before the ``.`` operator, the operators longest first, and
+#: each literal before its unterminated form.  ``{start}`` is an
+#: identifier's first character and ``{digit}`` a digit.  ``ERROR``
+#: leaves out the blanks so that blanks at the end of the source match
+#: nothing, instead of the last of them being an error.
+_PATTERN = r"""[ \t\r\f\v]*(?:
+ (?P<IDENT>{start}\w*)
+|(?P<NEWLINE>\n)
+|(?P<LINE_COMMENT>//[^\n]*)
+|(?P<BLOCK_COMMENT>/\*[\s\S]*?\*/)
+|(?P<OPEN_COMMENT>/\*)
+|(?P<FLOAT>(?:{digit}+\.{digit}*|\.{digit}+)(?:[eE][+-]?{digit}+)?[uUlLfF]*
+          |{digit}+[eE][+-]?{digit}+[uUlLfF]*)
+|(?P<INT>0[xX][0-9a-fA-F]*[uUlLfF]*|{digit}+[uUlLfF]*)
+|(?P<OP>{operators})
+|(?P<DIRECTIVE>\#[^\n]*)
+|(?P<CHAR>'[^'\\\n]*(?:\\.[^'\\\n]*)*')
+|(?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+|(?P<OPEN_LITERAL>['"])
+|(?P<ERROR>[^ \t\r\f\v])
+)"""
+
+#: The alternatives that are tokens, by name.
+_TOKEN_KINDS = {
+    kind.name: kind
+    for kind in (TokenKind.IDENT, TokenKind.INT, TokenKind.FLOAT,
+                 TokenKind.CHAR, TokenKind.STRING, TokenKind.OP)
+}
+
+
+@functools.lru_cache(maxsize=16)
+def _scanner(odd: str) -> Callable[[str], Iterator[re.Match]]:
+    """The compiled master pattern's ``finditer``; built on first use.
+
+    ``odd`` holds the odd characters of one source: none of them starts
+    an identifier, and those ``str.isdigit`` accepts are digits.
+    """
+    odd_digits = "".join(ch for ch in odd if ch.isdigit())
+    pattern = _PATTERN.format(
+        start=rf"[^\W\d{re.escape(odd)}]",
+        digit=rf"[\d{re.escape(odd_digits)}]" if odd_digits else r"\d",
+        operators="|".join(map(re.escape, _OPERATORS)),
+    )
+    return re.compile(pattern, re.VERBOSE).finditer
+
+
+def _odd_characters(source: str) -> str:
+    """The odd characters in ``source``, sorted."""
+    if source.isascii():
+        return ""
+    return "".join(sorted(
+        ch for ch in set(source)
+        if ch.isalnum() and not ch.isalpha() and not ch.isdecimal()
+    ))
+
+
 def tokenize(source: str) -> List[Token]:
     """Scan ``source`` into a token list terminated by an EOF token."""
     tokens: List[Token] = []
-    pos = 0
+    append = tokens.append
+    # ``Token(...)`` would call the NamedTuple's ``__new__``, a Python
+    # function: a sixth of the scan.
+    new_token = tuple.__new__
+    kinds = _TOKEN_KINDS
+    ident = TokenKind.IDENT
+    keyword = TokenKind.KEYWORD
     line = 1
-    line_start = 0
-    length = len(source)
+    line_start = 0  # offset of the current line's first character
 
-    def column() -> int:
-        return pos - line_start + 1
-
-    def error(message: str) -> LexError:
-        return LexError(message, line, column())
-
-    while pos < length:
-        ch = source[pos]
-
-        if ch == "\n":
-            pos += 1
+    for match in _scanner(_odd_characters(source))(source):
+        group = match.lastgroup
+        kind = kinds.get(group)
+        if kind is not None:
+            text = match.group(group)
+            if kind is ident and text in KEYWORDS:
+                kind = keyword
+            column = match.end() - len(text) - line_start + 1
+            append(new_token(Token, (kind, text, line, column)))
+        elif group == "NEWLINE":
             line += 1
-            line_start = pos
-            continue
-        if ch in " \t\r\f\v":
-            pos += 1
-            continue
-
-        # Comments.
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = length if end < 0 else end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            for i in range(pos, end):
-                if source[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-            pos = end + 2
-            continue
-
-        # Preprocessor lines are skipped wholesale (the subset has no
-        # macros; headers are modelled by the stub summaries instead).
-        if ch == "#" and (not tokens or tokens[-1].line != line):
-            end = source.find("\n", pos)
-            pos = length if end < 0 else end
-            continue
-
-        start_col = column()
-
-        # Identifiers and keywords.
-        if ch.isalpha() or ch == "_":
-            end = pos + 1
-            while end < length and (source[end].isalnum() or source[end] == "_"):
-                end += 1
-            text = source[pos:end]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line, start_col))
-            pos = end
-            continue
-
-        # Numbers.
-        if ch.isdigit() or (ch == "." and pos + 1 < length and source[pos + 1].isdigit()):
-            end = pos
-            is_float = False
-            if source.startswith(("0x", "0X"), pos):
-                end = pos + 2
-                while end < length and source[end] in "0123456789abcdefABCDEF":
-                    end += 1
-            else:
-                while end < length and source[end].isdigit():
-                    end += 1
-                if end < length and source[end] == ".":
-                    is_float = True
-                    end += 1
-                    while end < length and source[end].isdigit():
-                        end += 1
-                if end < length and source[end] in "eE":
-                    peek = end + 1
-                    if peek < length and source[peek] in "+-":
-                        peek += 1
-                    if peek < length and source[peek].isdigit():
-                        is_float = True
-                        end = peek
-                        while end < length and source[end].isdigit():
-                            end += 1
-            while end < length and source[end] in "uUlLfF":
-                end += 1
-            kind = TokenKind.FLOAT if is_float else TokenKind.INT
-            tokens.append(Token(kind, source[pos:end], line, start_col))
-            pos = end
-            continue
-
-        # Character and string literals.
-        if ch in "'\"":
-            quote = ch
-            end = pos + 1
-            while end < length and source[end] != quote:
-                if source[end] == "\\":
-                    end += 1
-                if end < length and source[end] == "\n":
-                    raise error("newline in literal")
-                end += 1
-            if end >= length:
-                raise error("unterminated literal")
-            end += 1
-            kind = TokenKind.CHAR if quote == "'" else TokenKind.STRING
-            tokens.append(Token(kind, source[pos:end], line, start_col))
-            pos = end
-            continue
-
-        # Operators and punctuation.
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                tokens.append(Token(TokenKind.OP, op, line, start_col))
-                pos += len(op)
-                break
+            line_start = match.end()
+        elif group == "BLOCK_COMMENT":
+            text = match.group(group)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.end() - len(text) + text.rindex("\n") + 1
+        elif group == "LINE_COMMENT":
+            pass
+        elif group == "DIRECTIVE" and (not tokens or tokens[-1].line != line):
+            # A preprocessor line is skipped wholesale (the subset has no
+            # macros; headers are modelled by the stub summaries instead),
+            # but only where no token has started on its line.
+            pass
         else:
-            raise error(f"unexpected character {ch!r}")
+            start = match.start(group)
+            if group == "OPEN_COMMENT":
+                message = "unterminated block comment"
+            elif group == "OPEN_LITERAL":
+                # The literal stops at the first newline, escaped or not,
+                # or else at the end of the source.
+                message = (
+                    "newline in literal" if "\n" in source[start:]
+                    else "unterminated literal"
+                )
+            else:  # ERROR, or a ``#`` after a token on its line
+                message = f"unexpected character {source[start]!r}"
+            raise LexError(message, line, start - line_start + 1)
 
-    tokens.append(Token(TokenKind.EOF, "", line, column()))
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
     return tokens

@@ -23,6 +23,8 @@ _TYPE_KEYWORDS = frozenset(
 
 _STORAGE_KEYWORDS = frozenset({"static", "extern", "auto", "register", "typedef"})
 
+_DECLARATION_KEYWORDS = _TYPE_KEYWORDS | _STORAGE_KEYWORDS
+
 #: Binary operator precedence (higher binds tighter).
 _BINARY_PRECEDENCE = {
     "||": 1,
@@ -87,15 +89,17 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._current = tokens[0]  # always ``tokens[self._pos]``
         self._depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
+    #
+    # Operators and keywords are recognised by their text alone: no
+    # other token can have it.  An identifier whose text is a keyword is
+    # lexed as that keyword, a number starts with a digit or ``.`` and a
+    # digit, a literal with its quote, and the EOF token's text is empty.
     # ------------------------------------------------------------------
-
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
 
     def _peek(self, ahead: int = 1) -> Token:
         index = min(self._pos + ahead, len(self._tokens) - 1)
@@ -105,22 +109,18 @@ class Parser:
         token = self._current
         if token.kind is not TokenKind.EOF:
             self._pos += 1
+            self._current = self._tokens[self._pos]
         return token
 
-    def _accept_op(self, text: str) -> bool:
-        if self._current.is_op(text):
+    def _accept(self, text: str) -> bool:
+        """Consume the operator or keyword ``text`` if it is next."""
+        if self._current.text == text:
             self._advance()
             return True
         return False
 
-    def _accept_keyword(self, text: str) -> bool:
-        if self._current.is_keyword(text):
-            self._advance()
-            return True
-        return False
-
-    def _expect_op(self, text: str) -> Token:
-        if not self._current.is_op(text):
+    def _expect(self, text: str) -> Token:
+        if self._current.text != text:
             raise ParseError(f"expected {text!r}", self._current)
         return self._advance()
 
@@ -137,10 +137,7 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _at_type(self) -> bool:
-        token = self._current
-        return token.kind is TokenKind.KEYWORD and (
-            token.text in _TYPE_KEYWORDS or token.text in _STORAGE_KEYWORDS
-        )
+        return self._current.text in _DECLARATION_KEYWORDS
 
     def _parse_type_specifier(self) -> Tuple[ast.CType, bool, bool]:
         """Parse storage class + type specifier; returns (type, static, extern)."""
@@ -148,10 +145,7 @@ class Parser:
         is_extern = False
         parts: List[str] = []
         while True:
-            token = self._current
-            if token.kind is not TokenKind.KEYWORD:
-                break
-            text = token.text
+            text = self._current.text
             if text in ("static",):
                 is_static = True
                 self._advance()
@@ -168,7 +162,7 @@ class Parser:
                 name = ""
                 if self._current.kind is TokenKind.IDENT:
                     name = self._advance().text
-                if self._current.is_op("{"):
+                if self._current.text == "{":
                     # Inline definition handled by the caller for top-level
                     # structs; in type position we just skip the body.
                     self._skip_braced_body()
@@ -183,15 +177,15 @@ class Parser:
         return ast.CType(" ".join(parts)), is_static, is_extern
 
     def _skip_braced_body(self) -> None:
-        self._expect_op("{")
+        self._expect("{")
         depth = 1
         while depth:
             token = self._advance()
             if token.kind is TokenKind.EOF:
                 raise self._error("unterminated '{'")
-            if token.is_op("{"):
+            if token.text == "{":
                 depth += 1
-            elif token.is_op("}"):
+            elif token.text == "}":
                 depth -= 1
 
     def _parse_declarator(self, base: ast.CType) -> Tuple[ast.CType, str, Optional[List[ast.Param]], bool]:
@@ -201,24 +195,24 @@ class Parser:
         is non-None when the declarator is a function.
         """
         ctype = base
-        while self._accept_op("*"):
-            while self._current.is_keyword("const") or self._current.is_keyword("volatile"):
+        while self._accept("*"):
+            while self._current.text in ("const", "volatile"):
                 self._advance()
             ctype = ctype.pointer_to()
 
         # Function-pointer declarator: (*name)(params)
-        if self._current.is_op("(") and self._peek().is_op("*"):
+        if self._current.text == "(" and self._peek().text == "*":
             self._advance()  # (
-            self._expect_op("*")
+            self._expect("*")
             name = self._expect_ident().text
-            while self._accept_op("["):
+            while self._accept("["):
                 # array of function pointers
-                if not self._current.is_op("]"):
+                if self._current.text != "]":
                     self._parse_expression()
-                self._expect_op("]")
+                self._expect("]")
                 ctype = ast.CType(ctype.base, ctype.pointer_depth, is_array=True)
-            self._expect_op(")")
-            self._expect_op("(")
+            self._expect(")")
+            self._expect("(")
             self._parse_param_list()
             # A pointer to function: one level of pointer is enough for
             # the analysis (what matters is that it can hold functions).
@@ -230,14 +224,14 @@ class Parser:
 
         params: Optional[List[ast.Param]] = None
         is_varargs = False
-        if self._accept_op("("):
+        if self._accept("("):
             params, is_varargs = self._parse_param_list()
             return ctype, name, params, is_varargs
 
-        while self._accept_op("["):
-            if not self._current.is_op("]"):
+        while self._accept("["):
+            if self._current.text != "]":
                 self._parse_expression()
-            self._expect_op("]")
+            self._expect("]")
             ctype = ast.CType(ctype.base, ctype.pointer_depth, is_array=True)
 
         return ctype, name, None, False
@@ -251,10 +245,10 @@ class Parser:
         """
         params: List[ast.Param] = []
         is_varargs = False
-        if self._accept_op(")"):
+        if self._accept(")"):
             return params, is_varargs
         while True:
-            if self._accept_op("..."):
+            if self._accept("..."):
                 is_varargs = True
                 break
             base, _, _ = self._parse_type_specifier()
@@ -274,9 +268,9 @@ class Parser:
                 ctype = ctype.pointer_to()
             if not (ctype.base == "void" and not ctype.pointer_depth and not name):
                 params.append(ast.Param(ctype, name, line))
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(")")
+        self._expect(")")
         return params, is_varargs
 
     # ------------------------------------------------------------------
@@ -285,9 +279,9 @@ class Parser:
 
     def _parse_expression(self) -> ast.Expr:
         expr = self._parse_assignment()
-        if self._current.is_op(","):
+        if self._current.text == ",":
             parts = [expr]
-            while self._accept_op(","):
+            while self._accept(","):
                 parts.append(self._parse_assignment())
             return ast.Comma(line=expr.line, parts=parts)
         return expr
@@ -296,7 +290,7 @@ class Parser:
     def _parse_assignment(self) -> ast.Expr:
         left = self._parse_conditional()
         token = self._current
-        if token.kind is TokenKind.OP and token.text in _ASSIGN_OPS:
+        if token.text in _ASSIGN_OPS:
             self._advance()
             right = self._parse_assignment()
             return ast.Assign(line=token.line, op=token.text, target=left, value=right)
@@ -305,9 +299,9 @@ class Parser:
     @_nesting_level
     def _parse_conditional(self) -> ast.Expr:
         condition = self._parse_binary(1)
-        if self._accept_op("?"):
+        if self._accept("?"):
             then = self._parse_expression()
-            self._expect_op(":")
+            self._expect(":")
             otherwise = self._parse_conditional()
             return ast.Conditional(
                 line=condition.line, condition=condition, then=then, otherwise=otherwise
@@ -318,11 +312,7 @@ class Parser:
         left = self._parse_unary()
         while True:
             token = self._current
-            precedence = (
-                _BINARY_PRECEDENCE.get(token.text, 0)
-                if token.kind is TokenKind.OP
-                else 0
-            )
+            precedence = _BINARY_PRECEDENCE.get(token.text, 0)
             if precedence < min_precedence:
                 return left
             self._advance()
@@ -332,45 +322,45 @@ class Parser:
     @_nesting_level
     def _parse_unary(self) -> ast.Expr:
         token = self._current
-        if token.kind is TokenKind.OP and token.text in ("*", "&", "-", "+", "!", "~"):
+        if token.text in ("*", "&", "-", "+", "!", "~"):
             self._advance()
             operand = self._parse_unary()
             return ast.Unary(line=token.line, op=token.text, operand=operand)
-        if token.kind is TokenKind.OP and token.text in ("++", "--"):
+        if token.text in ("++", "--"):
             self._advance()
             operand = self._parse_unary()
             return ast.Unary(line=token.line, op=token.text, operand=operand)
-        if token.is_keyword("sizeof"):
+        if token.text == "sizeof":
             self._advance()
-            if self._current.is_op("(") and self._is_type_ahead(1):
+            if self._current.text == "(" and self._is_type_ahead(1):
                 self._advance()
                 ctype = self._parse_type_name()
-                self._expect_op(")")
+                self._expect(")")
                 return ast.SizeOf(line=token.line, type=ctype)
             operand = self._parse_unary()
             return ast.SizeOf(line=token.line, operand=operand)
         # Cast: '(' type ')' unary
-        if token.is_op("(") and self._is_type_ahead(1):
+        if token.text == "(" and self._is_type_ahead(1):
             self._advance()
             ctype = self._parse_type_name()
-            self._expect_op(")")
+            self._expect(")")
             operand = self._parse_unary()
             return ast.Cast(line=token.line, type=ctype, operand=operand)
         return self._parse_postfix()
 
     def _is_type_ahead(self, ahead: int) -> bool:
         token = self._peek(ahead) if ahead else self._current
-        return token.kind is TokenKind.KEYWORD and token.text in _TYPE_KEYWORDS
+        return token.text in _TYPE_KEYWORDS
 
     def _parse_type_name(self) -> ast.CType:
         base, _, _ = self._parse_type_specifier()
         ctype = base
-        while self._accept_op("*"):
+        while self._accept("*"):
             ctype = ctype.pointer_to()
-        while self._accept_op("["):
-            if not self._current.is_op("]"):
+        while self._accept("["):
+            if self._current.text != "]":
                 self._parse_expression()
-            self._expect_op("]")
+            self._expect("]")
             ctype = ast.CType(ctype.base, ctype.pointer_depth, is_array=True)
         return ctype
 
@@ -378,29 +368,29 @@ class Parser:
         expr = self._parse_primary()
         while True:
             token = self._current
-            if token.is_op("("):
+            if token.text == "(":
                 self._advance()
                 args: List[ast.Expr] = []
-                if not self._current.is_op(")"):
+                if self._current.text != ")":
                     args.append(self._parse_assignment())
-                    while self._accept_op(","):
+                    while self._accept(","):
                         args.append(self._parse_assignment())
-                self._expect_op(")")
+                self._expect(")")
                 expr = ast.Call(line=token.line, callee=expr, args=args)
-            elif token.is_op("["):
+            elif token.text == "[":
                 self._advance()
                 index = self._parse_expression()
-                self._expect_op("]")
+                self._expect("]")
                 expr = ast.Index(line=token.line, base=expr, index=index)
-            elif token.is_op("."):
+            elif token.text == ".":
                 self._advance()
                 name = self._expect_ident().text
                 expr = ast.Member(line=token.line, base=expr, name=name, arrow=False)
-            elif token.is_op("->"):
+            elif token.text == "->":
                 self._advance()
                 name = self._expect_ident().text
                 expr = ast.Member(line=token.line, base=expr, name=name, arrow=True)
-            elif token.text in ("++", "--") and token.kind is TokenKind.OP:
+            elif token.text in ("++", "--"):
                 self._advance()
                 expr = ast.Unary(line=token.line, op=token.text, operand=expr, postfix=True)
             else:
@@ -435,10 +425,10 @@ class Parser:
             while self._current.kind is TokenKind.STRING:  # adjacent concat
                 text += self._advance().text
             return ast.StringLiteral(line=token.line, text=text)
-        if token.is_op("("):
+        if token.text == "(":
             self._advance()
             expr = self._parse_expression()
-            self._expect_op(")")
+            self._expect(")")
             return expr
         raise self._error("expected expression")
 
@@ -449,122 +439,122 @@ class Parser:
     @_nesting_level
     def _parse_statement(self) -> ast.Stmt:
         token = self._current
-        if token.is_op("{"):
+        if token.text == "{":
             return self._parse_block()
-        if token.is_keyword("if"):
+        if token.text == "if":
             self._advance()
-            self._expect_op("(")
+            self._expect("(")
             condition = self._parse_expression()
-            self._expect_op(")")
+            self._expect(")")
             then = self._parse_statement()
             otherwise = None
-            if self._accept_keyword("else"):
+            if self._accept("else"):
                 otherwise = self._parse_statement()
             return ast.If(line=token.line, condition=condition, then=then, otherwise=otherwise)
-        if token.is_keyword("while"):
+        if token.text == "while":
             self._advance()
-            self._expect_op("(")
+            self._expect("(")
             condition = self._parse_expression()
-            self._expect_op(")")
+            self._expect(")")
             body = self._parse_statement()
             return ast.While(line=token.line, condition=condition, body=body)
-        if token.is_keyword("do"):
+        if token.text == "do":
             self._advance()
             body = self._parse_statement()
-            if not self._accept_keyword("while"):
+            if not self._accept("while"):
                 raise self._error("expected 'while' after do-body")
-            self._expect_op("(")
+            self._expect("(")
             condition = self._parse_expression()
-            self._expect_op(")")
-            self._expect_op(";")
+            self._expect(")")
+            self._expect(";")
             return ast.While(line=token.line, condition=condition, body=body, is_do=True)
-        if token.is_keyword("for"):
+        if token.text == "for":
             self._advance()
-            self._expect_op("(")
+            self._expect("(")
             init: Optional[ast.Stmt] = None
-            if not self._current.is_op(";"):
+            if self._current.text != ";":
                 if self._at_type():
                     init = self._parse_declaration_statement()
                 else:
                     init = ast.ExprStmt(line=token.line, expr=self._parse_expression())
-                    self._expect_op(";")
+                    self._expect(";")
             else:
                 self._advance()
             condition = None
-            if not self._current.is_op(";"):
+            if self._current.text != ";":
                 condition = self._parse_expression()
-            self._expect_op(";")
+            self._expect(";")
             step = None
-            if not self._current.is_op(")"):
+            if self._current.text != ")":
                 step = self._parse_expression()
-            self._expect_op(")")
+            self._expect(")")
             body = self._parse_statement()
             return ast.For(line=token.line, init=init, condition=condition, step=step, body=body)
-        if token.is_keyword("return"):
+        if token.text == "return":
             self._advance()
             value = None
-            if not self._current.is_op(";"):
+            if self._current.text != ";":
                 value = self._parse_expression()
-            self._expect_op(";")
+            self._expect(";")
             return ast.Return(line=token.line, value=value)
-        if token.is_keyword("break"):
+        if token.text == "break":
             self._advance()
-            self._expect_op(";")
+            self._expect(";")
             return ast.Break(line=token.line)
-        if token.is_keyword("continue"):
+        if token.text == "continue":
             self._advance()
-            self._expect_op(";")
+            self._expect(";")
             return ast.Continue(line=token.line)
-        if token.is_keyword("goto"):
+        if token.text == "goto":
             self._advance()
             label = self._expect_ident().text
-            self._expect_op(";")
+            self._expect(";")
             return ast.Goto(line=token.line, label=label)
-        if token.is_keyword("switch"):
+        if token.text == "switch":
             self._advance()
-            self._expect_op("(")
+            self._expect("(")
             condition = self._parse_expression()
-            self._expect_op(")")
+            self._expect(")")
             body = self._parse_statement()
             return ast.Switch(line=token.line, condition=condition, body=body)
-        if token.is_keyword("case"):
+        if token.text == "case":
             self._advance()
             value = self._parse_conditional()
-            self._expect_op(":")
+            self._expect(":")
             statement = None
-            if not self._current.is_op("}"):
+            if self._current.text != "}":
                 statement = self._parse_statement()
             return ast.Case(line=token.line, value=value, statement=statement)
-        if token.is_keyword("default"):
+        if token.text == "default":
             self._advance()
-            self._expect_op(":")
+            self._expect(":")
             statement = None
-            if not self._current.is_op("}"):
+            if self._current.text != "}":
                 statement = self._parse_statement()
             return ast.Case(line=token.line, value=None, statement=statement)
         if (
             token.kind is TokenKind.IDENT
-            and self._peek().is_op(":")
+            and self._peek().text == ":"
         ):
             self._advance()
             self._advance()
             statement = None
-            if not self._current.is_op("}"):
+            if self._current.text != "}":
                 statement = self._parse_statement()
             return ast.Label(line=token.line, name=token.text, statement=statement)
         if self._at_type():
             return self._parse_declaration_statement()
-        if token.is_op(";"):
+        if token.text == ";":
             self._advance()
             return ast.ExprStmt(line=token.line, expr=None)
         expr = self._parse_expression()
-        self._expect_op(";")
+        self._expect(";")
         return ast.ExprStmt(line=token.line, expr=expr)
 
     def _parse_block(self) -> ast.Block:
-        start = self._expect_op("{")
+        start = self._expect("{")
         body: List[ast.Stmt] = []
-        while not self._current.is_op("}"):
+        while self._current.text != "}":
             if self._current.kind is TokenKind.EOF:
                 raise self._error("unterminated block")
             body.append(self._parse_statement())
@@ -576,7 +566,7 @@ class Parser:
         line = self._current.line
         base, is_static, is_extern = self._parse_type_specifier()
         declarations: List[ast.Declaration] = []
-        if self._current.is_op(";"):  # bare "struct S;" — nothing to do
+        if self._current.text == ";":  # bare "struct S;" — nothing to do
             self._advance()
             return ast.DeclGroup(line=line, declarations=[])
         while True:
@@ -587,8 +577,8 @@ class Parser:
             else:
                 init = None
                 init_list = None
-                if self._accept_op("="):
-                    if self._current.is_op("{"):
+                if self._accept("="):
+                    if self._current.text == "{":
                         init_list = self._parse_brace_initializer()
                     else:
                         init = self._parse_assignment()
@@ -603,32 +593,32 @@ class Parser:
                 )
             if declaration is not None:
                 declarations.append(declaration)
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(";")
+        self._expect(";")
         if len(declarations) == 1:
             return declarations[0]
         return ast.DeclGroup(line=line, declarations=declarations)
 
     @_nesting_level
     def _parse_brace_initializer(self) -> List[ast.Expr]:
-        self._expect_op("{")
+        self._expect("{")
         elements: List[ast.Expr] = []
-        if not self._current.is_op("}"):
+        if self._current.text != "}":
             while True:
-                if self._current.is_op("{"):
+                if self._current.text == "{":
                     elements.extend(self._parse_brace_initializer())
                 else:
-                    if self._current.is_op("."):  # designated initializer
+                    if self._current.text == ".":  # designated initializer
                         self._advance()
                         self._expect_ident()
-                        self._expect_op("=")
+                        self._expect("=")
                     elements.append(self._parse_assignment())
-                if not self._accept_op(","):
+                if not self._accept(","):
                     break
-                if self._current.is_op("}"):
+                if self._current.text == "}":
                     break
-        self._expect_op("}")
+        self._expect("}")
         return elements
 
     # ------------------------------------------------------------------
@@ -638,7 +628,7 @@ class Parser:
     def parse_translation_unit(self) -> ast.TranslationUnit:
         unit = ast.TranslationUnit()
         while self._current.kind is not TokenKind.EOF:
-            if self._accept_op(";"):
+            if self._accept(";"):
                 continue
             self._parse_top_level(unit)
         return unit
@@ -647,15 +637,14 @@ class Parser:
         line = self._current.line
         # struct/union/enum definition at file scope?
         if (
-            self._current.kind is TokenKind.KEYWORD
-            and self._current.text in ("struct", "union")
+            self._current.text in ("struct", "union")
             and self._peek().kind is TokenKind.IDENT
-            and self._peek(2).is_op("{")
+            and self._peek(2).text == "{"
         ):
             kind = self._advance().text
             name = self._advance().text
             fields = self._parse_struct_fields()
-            if self._accept_op(";"):
+            if self._accept(";"):
                 unit.structs.append(
                     ast.StructDef(name=name, fields=fields, line=line, is_union=kind == "union")
                 )
@@ -668,20 +657,20 @@ class Parser:
             base = ast.CType(f"{kind} {name}")
             self._finish_global_declarators(unit, base, line, False, False)
             return
-        if self._current.is_keyword("enum"):
+        if self._current.text == "enum":
             self._advance()
             if self._current.kind is TokenKind.IDENT:
                 self._advance()
-            if self._current.is_op("{"):
+            if self._current.text == "{":
                 self._skip_braced_body()
-            self._expect_op(";")
+            self._expect(";")
             return
 
         base, is_static, is_extern = self._parse_type_specifier()
         ctype, name, params, is_varargs = self._parse_declarator(base)
 
         if params is not None:
-            if self._current.is_op("{"):
+            if self._current.text == "{":
                 body = self._parse_block()
                 unit.functions.append(
                     ast.FunctionDef(
@@ -695,7 +684,7 @@ class Parser:
                     )
                 )
             else:
-                self._expect_op(";")
+                self._expect(";")
                 unit.functions.append(
                     ast.FunctionDef(
                         return_type=ctype,
@@ -711,11 +700,11 @@ class Parser:
 
         # Global variable declaration(s).
         self._finish_global_declarator(unit, ctype, name, line, is_static, is_extern)
-        while self._accept_op(","):
+        while self._accept(","):
             ctype2, name2, params2, _ = self._parse_declarator(base)
             if params2 is None:
                 self._finish_global_declarator(unit, ctype2, name2, line, is_static, is_extern)
-        self._expect_op(";")
+        self._expect(";")
 
     def _finish_global_declarators(
         self,
@@ -729,9 +718,9 @@ class Parser:
             ctype, name, params, _ = self._parse_declarator(base)
             if params is None:
                 self._finish_global_declarator(unit, ctype, name, line, is_static, is_extern)
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(";")
+        self._expect(";")
 
     def _finish_global_declarator(
         self,
@@ -744,8 +733,8 @@ class Parser:
     ) -> None:
         init = None
         init_list = None
-        if self._accept_op("="):
-            if self._current.is_op("{"):
+        if self._accept("="):
+            if self._current.text == "{":
                 init_list = self._parse_brace_initializer()
             else:
                 init = self._parse_assignment()
@@ -762,9 +751,9 @@ class Parser:
         )
 
     def _parse_struct_fields(self) -> List[ast.Param]:
-        self._expect_op("{")
+        self._expect("{")
         fields: List[ast.Param] = []
-        while not self._current.is_op("}"):
+        while self._current.text != "}":
             base, _, _ = self._parse_type_specifier()
             while True:
                 line = self._current.line
@@ -772,9 +761,9 @@ class Parser:
                 if params is not None:
                     ctype = ctype.pointer_to()  # function field decays
                 fields.append(ast.Param(ctype, name, line))
-                if not self._accept_op(","):
+                if not self._accept(","):
                     break
-            self._expect_op(";")
+            self._expect(";")
         self._advance()
         return fields
 

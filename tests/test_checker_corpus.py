@@ -19,6 +19,8 @@ import pathlib
 
 import pytest
 
+import repro
+from repro.analysis.export import indented_json
 from repro.checkers import (
     Severity,
     from_sarif,
@@ -149,7 +151,7 @@ def test_sarif_roundtrip(path):
     validate_sarif(doc)
     assert list(from_sarif(doc)) == list(report)
     # and through actual JSON text, as the CLI emits it
-    assert list(from_sarif(json.loads(json.dumps(doc)))) == list(report)
+    assert list(from_sarif(json.loads(indented_json(doc)))) == list(report)
 
 
 @pytest.mark.parametrize("path", BUGGY + CLEAN, ids=lambda p: p.name)
@@ -331,6 +333,7 @@ class TestCheckCli:
         doc = json.loads(capsys.readouterr().out)
         validate_sarif(doc)
         assert doc["version"] == "2.1.0"
+        assert doc["runs"][0]["tool"]["driver"]["version"] == repro.__version__
         results = doc["runs"][0]["results"]
         assert [r["ruleId"] for r in results] == ["bad-indirect-call"]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.analysis.export import (
     PointeeRenderer,
     constraint_graph_dot,
+    indented_json,
     solution_from_json,
     solution_to_json,
 )
@@ -163,6 +164,34 @@ class TestByteIdentity:
         system = ConstraintSystem(names, [])
         solution = PointsToSolution(mapping, n)
         assert_matches_reference(system, solution)
+
+
+#: What reports hold: dicts with text keys, lists, text (control and
+#: non-ASCII characters included), ints of any size and sign, bools and
+#: ``None``.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+class TestIndentedJson:
+    """``indented_json`` is ``json.dumps(value, indent=2)``, byte for byte."""
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300, **COMMON)
+    def test_matches_json_dumps(self, value):
+        assert indented_json(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers_and_edge_scalars(self):
+        value = {"": [], "d": {}, "n": [None, True, False, -(2**80), 0], "s": "é\x00\n\""}
+        assert indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "key"}, object()])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            indented_json(value)
 
 
 class TestCliJson:
