@@ -22,9 +22,10 @@ Two budgets arm at REPRO_SCALE ≤ 128:
   and specializing indirect sites is what keeps the clone explosion
   bounded);
 - **time**: end-to-end k=1 may cost at most 3x the k=0 run geo-mean
-  (the k=1 run pays the expansion and its bootstrap, a full insensitive
-  solve with its own HU stage: five runs at 1/128 on a 2-core Xeon
-  measured 2.4-2.8x).
+  (the k=1 run pays the expansion, whose bootstrap solves only the
+  slice of the input that indirect-call pointers depend on, then HU and
+  the solve on the larger expanded system: five runs at 1/128 on a
+  2-core Xeon measured 1.8-2.0x).
 
 The corpus precision assertions are scale-independent and always on.
 """

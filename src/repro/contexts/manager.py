@@ -43,6 +43,16 @@ lets the expansion treat the constraints of one call as a unit:
   once per context of the (unique) function owning its cloneable
   variables, or emitted verbatim when it mentions none.
 
+The bootstrap is demand-driven: it solves only the slice of the input
+that the indirect sites' function pointers depend on
+(``_bootstrap_slice``), in the headline configuration (lcd+hcd over
+``int`` sets, with HU).  Restricted to the slice's variables, the
+slice's least model equals the whole system's, so the specialized sites
+are the ones a whole-system bootstrap would find.  A pointer whose value
+passes through memory (a load, an address-taken variable or a block
+member) pulls in every store, and its slice grows toward the whole
+system.
+
 Irregular flows degrade soundly instead of guessing: a site whose
 copies disagree about the callee or the caller, an address-taken
 parameter, or an untagged constraint joining locals of two different
@@ -86,7 +96,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import (
@@ -129,6 +139,8 @@ class CtxStats:
     demoted_locals: int = 0
     constraints_before: int = 0
     constraints_after: int = 0
+    #: Size of the slice the bootstrap solves (0 without indirect sites).
+    bootstrap_constraints: int = 0
     bootstrap_seconds: float = 0.0
     offline_seconds: float = 0.0
 
@@ -206,7 +218,9 @@ def expand_contexts(system: ConstraintSystem, k: int) -> ContextExpansion:
     """Rewrite ``system`` into its k-CFA expansion (once per object and k).
 
     Indirect call sites are resolved with a context-insensitive
-    bootstrap solution computed in the headline configuration.
+    bootstrap solution computed in the headline configuration, over the
+    slice of ``system`` their function pointers depend on; its size is
+    ``stats.bootstrap_constraints``.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -352,7 +366,13 @@ def _expand(system: ConstraintSystem, k: int) -> ContextExpansion:
         from repro.solvers.registry import solve as _solve
 
         boot_start = time.perf_counter()
-        bootstrap = _solve(system, "lcd+hcd", pts="int", opt="hu")
+        demanded = _bootstrap_slice(
+            system, [site.pointer for site in indirect_sites]
+        )
+        stats.bootstrap_constraints = len(demanded)
+        bootstrap = _solve(
+            system.with_constraints(demanded), "lcd+hcd", pts="int", opt="hu"
+        )
         stats.bootstrap_seconds = time.perf_counter() - boot_start
         max_offset = system.max_offset
         for site in indirect_sites:
@@ -570,6 +590,79 @@ def _expand(system: ConstraintSystem, k: int) -> ContextExpansion:
         clone_groups={var: tuple(ids) for var, ids in clone_groups.items()},
         contexts_of={node: tuple(sorted(ctxs)) for node, ctxs in contexts.items()},
     )
+
+
+def _bootstrap_slice(
+    system: ConstraintSystem, pointers: Iterable[int]
+) -> List[Constraint]:
+    """The constraints of ``system`` the sets of ``pointers`` depend on.
+
+    Closes backward from ``pointers`` over the BASE, COPY, OFFS and LOAD
+    rows whose ``dst`` is in the slice.  A STORE can write any address-
+    taken variable or block member, and a LOAD can read any of them; so
+    the first time the slice reaches a LOAD or such a variable, it takes
+    in every STORE and every such variable.  Every row that can add to a
+    slice variable's set is then in the slice, with the variables it
+    reads, so the slice's least model restricted to those variables
+    equals the whole system's.  The rows come back in input order.
+    """
+    constraints = system.constraints
+    writable: Set[int] = set()
+    for node, info in system.functions.items():
+        writable.update(range(node, node + info.block_size))
+    for node, block in system.object_blocks.items():
+        writable.update(range(node, node + block.block_size))
+    # The kinds are bound to locals: an enum attribute lookup per row
+    # costs more than the rest of this pass.
+    base = ConstraintKind.BASE
+    load = ConstraintKind.LOAD
+    store = ConstraintKind.STORE
+    defs: Dict[int, List[int]] = {}
+    stores: List[int] = []
+    for idx, con in enumerate(constraints):
+        kind = con.kind
+        if kind is store:
+            stores.append(idx)
+            continue
+        defining = defs.get(con.dst)
+        if defining is None:
+            defs[con.dst] = [idx]
+        else:
+            defining.append(idx)
+        if kind is base:
+            writable.add(con.src)
+
+    rows: Set[int] = set()
+    seen: Set[int] = set()
+    work: List[int] = []
+
+    def reach(var: int) -> None:
+        if var not in seen:
+            seen.add(var)
+            work.append(var)
+
+    for var in pointers:
+        reach(var)
+    all_stores = False
+    while work:
+        var = work.pop()
+        # Whether some value of var's set can come through memory.
+        through_memory = var in writable
+        for idx in defs.get(var, ()):
+            rows.add(idx)
+            con = constraints[idx]
+            if con.kind is not base:
+                reach(con.src)
+                through_memory = through_memory or con.kind is load
+        if through_memory and not all_stores:
+            all_stores = True
+            rows.update(stores)
+            for idx in stores:
+                reach(constraints[idx].dst)
+                reach(constraints[idx].src)
+            for written in writable:
+                reach(written)
+    return [constraints[idx] for idx in sorted(rows)]
 
 
 def _classify_site(

@@ -35,11 +35,13 @@ def format_ctx_summary(stats: Mapping[str, object]) -> str:
 
     Returns the empty string when the run was context-insensitive
     (``--k-cs 0``), so callers can print the result
-    unconditionally-if-truthy.
+    unconditionally-if-truthy.  The offline seconds include the
+    bootstrap solve, whose slice size and seconds follow in parentheses.
     """
     if not stats.get("ctx_k"):
         return ""
     seconds = float(stats.get("ctx_offline_seconds", 0.0))
+    bootstrap_seconds = float(stats.get("ctx_bootstrap_seconds", 0.0))
     return (
         f"k={stats['ctx_k']}: {stats['ctx_contexts_created']} contexts, "
         f"{stats['ctx_vars_cloned']} vars cloned over "
@@ -49,7 +51,9 @@ def format_ctx_summary(stats: Mapping[str, object]) -> str:
         f"indirect sites specialized "
         f"({stats['ctx_indirect_expansions']} expansions), "
         f"{stats['ctx_constraints_before']} -> {stats['ctx_constraints_after']} "
-        f"constraints, {seconds:.3f}s offline"
+        f"constraints, {seconds:.3f}s offline (bootstrap "
+        f"{stats['ctx_bootstrap_constraints']} constraints, "
+        f"{bootstrap_seconds:.3f}s)"
     )
 
 

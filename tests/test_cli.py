@@ -229,7 +229,7 @@ class TestOfflineStagesRunOnce:
         "argv, expected",
         [
             (["compare", "--opt", "ovs"], ["ovs"]),
-            # The bootstrap's HU on the input, then one HU on the expansion.
+            # The bootstrap's HU on its slice, then one HU on the expansion.
             (["compare", "--opt", "hu", "--k-cs", "1"], ["hu", "hu"]),
             (["verify", "--algorithms", "all", "--pts", "all", "--opt", "hu"], ["hu"]),
         ],

@@ -4,24 +4,37 @@ The solver-facing contract — every algorithm/family/opt bit-identical at
 each k — lives in ``test_solver_agreement.py``; this file pins down the
 expansion itself: call-string bounding, cloning/sharing policy, indirect
 binding precision, monotone precision, the irregular-site fallback, the
-per-system expansion memo and the projection contract.
+demand-driven bootstrap slice, the per-system expansion memo and the
+projection contract.
 """
 
+import contextlib
 import gc
+import pathlib
 import weakref
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import repro.contexts.manager as manager
+import repro.solvers.registry as registry
 from conftest import random_system
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.builder import ConstraintBuilder
+from repro.constraints.model import ConstraintKind
 from repro.contexts import (
     K_LEVELS,
     expand_contexts,
     extend_call_string,
     format_call_string,
 )
+from repro.frontend.generator import generate_constraints
+from repro.metrics.reporting import format_ctx_summary
 from repro.solvers.registry import make_solver, solve
+from strategies import constraint_systems
+
+CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
 
 
 def _pick_system():
@@ -298,3 +311,125 @@ class TestCacheAndProjection:
         assert clone_space.num_vars == solver.context.expanded.num_vars
         assert clone_space.num_vars > system.num_vars
         assert certify(solver.context.expanded, clone_space).ok
+
+
+def _fresh(system):
+    """A copy of ``system`` with an empty memo, so it expands anew."""
+    return system.with_constraints(system.constraints)
+
+
+def _corpus_system(path):
+    field_mode = "sensitive" if ".sensitive." in path.name else "insensitive"
+    return generate_constraints(path.read_text(), field_mode=field_mode).system
+
+
+@contextlib.contextmanager
+def _bootstrap_spy():
+    """Record the pointers an expansion queries, the system its bootstrap
+    solves and that solve's solution."""
+    seen = {}
+    real_slice = manager._bootstrap_slice
+
+    def slice_spy(system, pointers):
+        seen["pointers"] = list(pointers)
+        return real_slice(system, seen["pointers"])
+
+    def solve_spy(system, algorithm, **options):
+        seen["system"] = system
+        seen["solution"] = solve(system, algorithm, **options)
+        return seen["solution"]
+
+    with mock.patch.object(manager, "_bootstrap_slice", slice_spy):
+        with mock.patch.object(registry, "solve", solve_spy):
+            yield seen
+
+
+def _whole_system_expansion(system, k):
+    """The oracle: the expansion whose bootstrap solves every constraint."""
+    with mock.patch.object(
+        manager, "_bootstrap_slice", lambda system, pointers: system.constraints
+    ):
+        return expand_contexts(_fresh(system), k)
+
+
+def _assert_slice_exact(system):
+    """At every pointer the expansion queries, the sliced bootstrap's set
+    equals the whole system's, and at k=1 and k=2 the expansion equals
+    the whole-system bootstrap's.  Returns whether anything was queried."""
+    with _bootstrap_spy() as seen:
+        expand_contexts(_fresh(system), 1)
+    if seen:
+        whole = solve(system, "lcd+hcd", pts="int", opt="hu")
+        for pointer in seen["pointers"]:
+            assert seen["solution"].points_to(pointer) == whole.points_to(pointer)
+    for k in (1, 2):
+        sliced = expand_contexts(_fresh(system), k)
+        oracle = _whole_system_expansion(system, k)
+        assert [(c, c.prov) for c in sliced.expanded.constraints] == [
+            (c, c.prov) for c in oracle.expanded.constraints
+        ]
+        assert sliced.expanded.names == oracle.expanded.names
+        assert sliced.clone_groups == oracle.clone_groups
+        assert sliced.contexts_of == oracle.contexts_of
+        assert (
+            sliced.stats.indirect_sites_specialized
+            == oracle.stats.indirect_sites_specialized
+        )
+    return bool(seen)
+
+
+class TestDemandDrivenBootstrap:
+    """The bootstrap solves only the slice its queried pointers depend on,
+    and every expansion equals the one a whole-system bootstrap gives."""
+
+    @given(system=constraint_systems())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_slice_exact_on_drawn_systems(self, system):
+        _assert_slice_exact(system)
+
+    def test_slice_exact_on_random_systems(self):
+        queried = sum(_assert_slice_exact(random_system(seed)) for seed in range(120))
+        assert queried > 50  # most seeds draw an indirect call
+
+    def test_slice_exact_on_corpus(self):
+        programs = sorted(CORPUS.glob("*/*.c"))
+        assert programs
+        for path in programs:
+            _assert_slice_exact(_corpus_system(path))
+
+    @pytest.mark.parametrize(
+        "program, size, all_stores",
+        [
+            # g's value comes back through pick's return node, a block
+            # member a store could write: every store joins the slice.
+            ("clean/context_fp.c", 18, True),
+            # The thread start pointer is a plain local: two rows.
+            ("buggy/race_fnptr.c", 2, False),
+        ],
+    )
+    def test_corpus_slice_cases(self, program, size, all_stores):
+        system = _corpus_system(CORPUS / program)
+        with _bootstrap_spy() as seen:
+            expansion = expand_contexts(system, 1)
+        assert expansion.stats.bootstrap_constraints == size
+        assert len(seen["system"]) == size < len(system)
+        stores = [c for c in system if c.kind is ConstraintKind.STORE]
+        sliced = [c for c in seen["system"] if c.kind is ConstraintKind.STORE]
+        assert stores
+        assert (sliced == stores) is all_stores
+
+    def test_no_indirect_site_no_bootstrap(self):
+        system, *_ = _pick_system()
+        with _bootstrap_spy() as seen:
+            expansion = expand_contexts(system, 1)
+        assert not seen
+        assert expansion.stats.bootstrap_constraints == 0
+
+    def test_stats_line_reports_the_slice(self):
+        system = _corpus_system(CORPUS / "clean" / "context_fp.c")
+        line = format_ctx_summary(make_solver(system, k_cs=1).stats.as_dict())
+        assert "s offline (bootstrap 18 constraints, " in line

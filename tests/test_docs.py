@@ -3,6 +3,8 @@
 import os
 import re
 
+import pytest
+
 DOCS_DIR = os.path.join(os.path.dirname(__file__), "..", "docs")
 
 
@@ -51,3 +53,15 @@ def test_constraint_format_example_parses():
     r = system.names.index("r")
     g = system.names.index("g")
     assert solution.points_to(r) == {g}
+
+
+def test_version_written_once():
+    """``pyproject.toml`` reads the version from ``repro.__version__``,
+    the one the SARIF reports carry, instead of keeping a copy."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(DOCS_DIR, "..", "pyproject.toml"), "rb") as handle:
+        config = tomllib.load(handle)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    dynamic = config["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "repro.__version__"}
