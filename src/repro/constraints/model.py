@@ -32,8 +32,19 @@ recorded in :attr:`ConstraintSystem.max_offset`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 #: Offset of the return-value node relative to its function variable.
 RETURN_OFFSET = 1
@@ -93,33 +104,62 @@ class ConstraintKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One inclusion constraint.
-
-    ``dst``/``src`` follow assignment orientation: ``dst`` is the left-hand
-    side.  For STORE the dereference applies to ``dst`` (``*(dst+k) = src``);
-    for LOAD it applies to ``src`` (``dst = *(src+k)``).
-    """
+class _ConstraintFields(NamedTuple):
+    """The fields of :class:`Constraint`, which adds the checks:
+    a ``NamedTuple`` class may not define its own ``__new__``."""
 
     kind: ConstraintKind
     dst: int
     src: int
     offset: int = 0
-    #: Optional source provenance.  Excluded from equality and hashing:
-    #: solvers, the certifier and solution comparisons see only the
-    #: semantic quadruple, while diagnostics read the provenance.
-    prov: Optional[Provenance] = field(default=None, compare=False)
+    prov: Optional[Provenance] = None
 
-    def __post_init__(self) -> None:
-        if self.dst < 0 or self.src < 0:
-            raise ValueError(f"negative variable id in {self}")
-        if self.offset < 0:
-            raise ValueError(f"negative offset in {self}")
-        if self.offset and self.kind in (ConstraintKind.BASE, ConstraintKind.COPY):
-            raise ValueError(f"{self.kind} constraints cannot carry an offset")
-        if self.kind is ConstraintKind.OFFS and self.offset == 0:
+
+class Constraint(_ConstraintFields):
+    """One inclusion constraint: an immutable row.
+
+    ``dst``/``src`` follow assignment orientation: ``dst`` is the left-hand
+    side.  For STORE the dereference applies to ``dst`` (``*(dst+k) = src``);
+    for LOAD it applies to ``src`` (``dst = *(src+k)``).
+
+    ``prov`` is optional source provenance.  Equality and hashing cover
+    ``(kind, dst, src, offset)`` only: solvers, the certifier and solution
+    comparisons see the semantic quadruple, while diagnostics read the
+    provenance.  A constraint never equals a plain tuple.  The value
+    checks run once, when the row is built; that ids are below the
+    variable count is checked by :class:`ConstraintSystem`.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: ConstraintKind,
+        dst: int,
+        src: int,
+        offset: int = 0,
+        prov: Optional[Provenance] = None,
+    ) -> "Constraint":
+        row = tuple.__new__(cls, (kind, dst, src, offset, prov))
+        if dst < 0 or src < 0:
+            raise ValueError(f"negative variable id in {row}")
+        if offset < 0:
+            raise ValueError(f"negative offset in {row}")
+        if offset and kind in (ConstraintKind.BASE, ConstraintKind.COPY):
+            raise ValueError(f"{kind} constraints cannot carry an offset")
+        if kind is ConstraintKind.OFFS and offset == 0:
             raise ValueError("offset-copy with offset 0 should be a COPY")
+        return row
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Constraint) and self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        # tuple's own ``!=`` would compare ``prov`` and plain tuples.
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     def with_prov(self, prov: Optional[Provenance]) -> "Constraint":
         """A copy of this constraint carrying different provenance."""

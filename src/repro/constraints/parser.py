@@ -4,7 +4,8 @@ The paper keeps constraint generation and constraint solving separate,
 communicating through constraint files; this module defines the equivalent
 on-disk format so generated workloads can be saved, inspected and replayed.
 
-Format (one directive per line, ``#`` starts a comment)::
+Format (one directive per line; a ``#`` that starts a token, at the
+start of a line or after whitespace, starts a comment)::
 
     var <name>                 declare a plain variable
     fun <name> <nparams>       declare a function block (var, ret, params)
@@ -41,10 +42,7 @@ and ``--sanitize``.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Mapping, TextIO, Tuple
-
-#: Leading-comment marker for the replayable CLI configuration.
-REPRO_HEADER_PREFIX = "# repro-config:"
+from typing import Dict, List, Mapping, Set, TextIO, Tuple
 
 from repro.constraints.model import (
     Constraint,
@@ -55,7 +53,14 @@ from repro.constraints.model import (
     Provenance,
 )
 
+#: Leading-comment marker for the replayable CLI configuration.
+REPRO_HEADER_PREFIX = "# repro-config:"
+
 _KIND_BY_NAME = {kind.value: kind for kind in ConstraintKind}
+#: The kinds whose three-token form, ``<kind> <dst> <src>``, is valid.
+_PLAIN_KINDS = {
+    name: kind for name, kind in _KIND_BY_NAME.items() if kind is not ConstraintKind.OFFS
+}
 
 
 def _split_prov(tokens: List[str], line_no: int):
@@ -127,19 +132,35 @@ class ConstraintParseError(ValueError):
 
 
 def read_constraints(stream: TextIO) -> ConstraintSystem:
-    """Parse a constraint file from a text stream."""
+    """Parse a constraint file from a text stream.
+
+    One pass, one ``split`` per line.  Two common line shapes are parsed
+    inline: ``var <name>``, and ``base``/``copy``/``load``/``store``
+    with two operands and nothing else.  Each operand costs one lookup in
+    ``refs``, which maps the declared names and in-range ``%<id>``s to
+    ids.  Every other line, malformed ones included, goes through
+    ``parse_line``, which checks in a fixed order: comment, annotation,
+    directive, arity, ``dst``, ``src``, offset, then the row's value
+    checks.
+    """
     names: List[str] = []
-    by_name: Dict[str, int] = {}
+    declared: Set[str] = set()
+    # Declared names (except those starting with ``%``, which only ever
+    # parse as id references) and ``%<id>`` for every declared id.
+    refs: Dict[str, int] = {}
     functions: Dict[int, FunctionInfo] = {}
     blocks: Dict[int, ObjectBlock] = {}
     constraints: List[Constraint] = []
 
     def declare(name: str, line_no: int) -> int:
-        if name in by_name:
+        if name in declared:
             raise ConstraintParseError(line_no, f"duplicate variable {name!r}")
         node = len(names)
         names.append(name)
-        by_name[name] = node
+        declared.add(name)
+        refs[f"%{node}"] = node
+        if name[0] != "%":
+            refs[name] = node
         return node
 
     def resolve(token: str, line_no: int) -> int:
@@ -151,16 +172,18 @@ def read_constraints(stream: TextIO) -> ConstraintSystem:
             if not 0 <= node < len(names):
                 raise ConstraintParseError(line_no, f"id {token} out of range")
             return node
-        node = by_name.get(token)
+        node = refs.get(token)
         if node is None:
             raise ConstraintParseError(line_no, f"unknown variable {token!r}")
         return node
 
-    for line_no, raw_line in enumerate(stream, start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    def parse_line(tokens: List[str], line_no: int) -> None:
+        for i, token in enumerate(tokens):
+            if token[0] == "#":
+                del tokens[i:]
+                break
+        if not tokens:
+            return
         tokens, prov = _split_prov(tokens, line_no)
         if not tokens:
             raise ConstraintParseError(line_no, "annotation without a directive")
@@ -222,6 +245,28 @@ def read_constraints(stream: TextIO) -> ConstraintSystem:
                 raise ConstraintParseError(line_no, str(exc)) from None
         else:
             raise ConstraintParseError(line_no, f"unknown directive {directive!r}")
+
+    for line_no, raw_line in enumerate(stream, start=1):
+        tokens = raw_line.split()
+        if len(tokens) == 3:
+            # No name starts with ``#`` or is ``!``, so two hits mean the
+            # line carries no comment or annotation.
+            kind = _PLAIN_KINDS.get(tokens[0])
+            if kind is not None:
+                dst = refs.get(tokens[1])
+                src = refs.get(tokens[2])
+                if dst is not None and src is not None:
+                    constraints.append(Constraint(kind, dst, src))
+                    continue
+        elif len(tokens) == 2:
+            name = tokens[1]
+            # ``#x`` is a comment and ``!`` an annotation: both are errors.
+            if tokens[0] == "var" and name[0] != "#" and name != "!":
+                declare(name, line_no)
+                continue
+        elif not tokens:
+            continue
+        parse_line(tokens, line_no)
 
     return ConstraintSystem(names, constraints, functions, blocks)
 

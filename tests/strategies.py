@@ -2,16 +2,21 @@
 
 Unlike the seed-based ``random_system`` helper, these build systems
 *compositionally*, so hypothesis can shrink failing examples down to the
-minimal constraint set that still breaks an invariant.
+minimal constraint set that still breaks an invariant.  The last one,
+:func:`mutated_constraint_files`, draws constraint-file *text*, mostly
+malformed, for the reader and the located-error properties.
 """
 
 from hypothesis import strategies as st
 
+from conftest import random_system
 from repro.constraints.builder import ConstraintBuilder
 from repro.constraints.model import ConstraintSystem
+from repro.constraints.parser import dumps_constraints
 from repro.contexts import K_LEVELS
 from repro.points_to.interface import FAMILY_KINDS
 from repro.preprocess.hvn import OPT_STAGES
+from repro.workloads import generate_workload
 
 #: Draw one of the registered points-to representations, so differential
 #: tests cover bitmap, BDD and bignum (int) sets uniformly.
@@ -86,3 +91,46 @@ def constraint_systems(
         else:
             builder.assign(a, b)
     return builder.build()
+
+
+_CONS_BASES = [
+    "# repro-config: opt=hu\n" + dumps_constraints(generate_workload("wine", 1 / 8192, seed=3)),
+    dumps_constraints(random_system(7, max_vars=10, max_constraints=25)),
+]
+_CONS_TOKENS = [
+    "var", "fun", "obj", "base", "copy", "load", "store", "offs", "!",
+    "#", "%0", "%1", "%x", "%999", "-1", "0", "1", "2", "3", "x", "Call",
+]
+_CONS_LINES = [
+    "var", "var a b", "fun g", "fun g -1", "fun g x", "obj s 2", "obj t y",
+    "offs %0 %1 0", "load %0", "store %1 %0 7", "! 1 Call 0", "copy %0 %1 ! x",
+    "# repro-config: opt=turbo", "# repro-config: k-cs=1 pts=int", "# repro-config: opt",
+]
+
+
+@st.composite
+def mutated_constraint_files(draw):
+    """A dumped constraint file with one to three line mutations: a line
+    deleted, duplicated, swapped, inserted from a pool of bad lines, or
+    one of its words replaced."""
+    lines = draw(st.sampled_from(_CONS_BASES)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "insert", "token"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "insert":
+            lines.insert(i, draw(st.sampled_from(_CONS_LINES)))
+        else:
+            words = lines[i].split() or [""]
+            k = draw(st.integers(0, len(words) - 1))
+            words[k] = draw(st.sampled_from(_CONS_TOKENS))
+            lines[i] = " ".join(words)
+        if not lines:
+            lines = [""]
+    return "\n".join(lines) + "\n"

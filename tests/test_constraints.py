@@ -1,5 +1,8 @@
 """Tests for the constraint model, builder and text format."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.constraints.model import (
     ConstraintKind,
     ConstraintSystem,
     FunctionInfo,
+    Provenance,
 )
 from repro.constraints.parser import (
     ConstraintParseError,
@@ -40,6 +44,52 @@ class TestConstraint:
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
             Constraint(ConstraintKind.LOAD, 0, 1, offset=-1)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((ConstraintKind.COPY, -1, 0), "negative variable id in v-1 = v0"),
+            ((ConstraintKind.LOAD, 0, 1, -1), "negative offset in v0 = *(v1+-1)"),
+            ((ConstraintKind.BASE, 0, 1, 1), "base constraints cannot carry an offset"),
+            ((ConstraintKind.COPY, 0, 1, 2), "copy constraints cannot carry an offset"),
+            ((ConstraintKind.OFFS, 0, 1), "offset-copy with offset 0 should be a COPY"),
+        ],
+    )
+    def test_value_check_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            Constraint(*args)
+        assert str(info.value) == message
+
+    def test_equality_and_hash_ignore_provenance(self):
+        bare = Constraint(ConstraintKind.STORE, 1, 2, 3)
+        stamped = bare.with_prov(Provenance(4, "Deref", site=5))
+        assert bare == stamped and not bare != stamped
+        assert hash(bare) == hash(stamped)
+        assert bare != Constraint(ConstraintKind.STORE, 1, 2, 4)
+        assert bare != Constraint(ConstraintKind.LOAD, 1, 2, 3)
+        assert not bare == Constraint(ConstraintKind.STORE, 2, 1, 3)
+
+    def test_never_equals_a_plain_tuple(self):
+        row = Constraint(ConstraintKind.COPY, 1, 2)
+        fields = tuple(row)
+        assert fields == (ConstraintKind.COPY, 1, 2, 0, None)
+        for plain in (fields, fields[:4]):
+            assert not row == plain and row != plain
+            assert not plain == row and plain != row
+        assert row not in {fields, fields[:4]}
+
+    def test_immutable(self):
+        row = Constraint(ConstraintKind.COPY, 1, 2)
+        with pytest.raises(AttributeError):
+            row.dst = 3
+        with pytest.raises(AttributeError):
+            row.label = "x"
+
+    def test_copy_and_pickle_round_trip(self):
+        row = Constraint(ConstraintKind.LOAD, 1, 2, 3, Provenance(7, "Deref", True, 9))
+        for clone in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
+            assert type(clone) is Constraint
+            assert tuple(clone) == tuple(row)
 
 
 class TestFunctionInfo:

@@ -17,10 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system
 from repro.cli import main
-from repro.constraints.parser import dumps_constraints
-from repro.workloads import generate_workload
+from strategies import mutated_constraint_files
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 C_FILES = sorted(
@@ -151,46 +149,6 @@ def test_malformed_integer_literal_is_located(workdir, command, literal):
 # ----------------------------------------------------------------------
 # Line-mutated constraint files through solve, verify, stats and compare
 # ----------------------------------------------------------------------
-
-_CONS_BASES = [
-    "# repro-config: opt=hu\n" + dumps_constraints(generate_workload("wine", 1 / 8192, seed=3)),
-    dumps_constraints(random_system(7, max_vars=10, max_constraints=25)),
-]
-_CONS_TOKENS = [
-    "var", "fun", "obj", "base", "copy", "load", "store", "offs", "!",
-    "#", "%0", "%1", "%x", "%999", "-1", "0", "1", "2", "3", "x", "Call",
-]
-_CONS_LINES = [
-    "var", "var a b", "fun g", "fun g -1", "fun g x", "obj s 2", "obj t y",
-    "offs %0 %1 0", "load %0", "store %1 %0 7", "! 1 Call 0", "copy %0 %1 ! x",
-    "# repro-config: opt=turbo", "# repro-config: k-cs=1 pts=int", "# repro-config: opt",
-]
-
-
-@st.composite
-def mutated_constraint_files(draw):
-    lines = draw(st.sampled_from(_CONS_BASES)).splitlines()
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["delete", "duplicate", "swap", "insert", "token"]))
-        if op == "delete":
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(i, lines[i])
-        elif op == "swap":
-            j = draw(st.integers(0, len(lines) - 1))
-            lines[i], lines[j] = lines[j], lines[i]
-        elif op == "insert":
-            lines.insert(i, draw(st.sampled_from(_CONS_LINES)))
-        else:
-            words = lines[i].split() or [""]
-            k = draw(st.integers(0, len(words) - 1))
-            words[k] = draw(st.sampled_from(_CONS_TOKENS))
-            lines[i] = " ".join(words)
-        if not lines:
-            lines = [""]
-    return "\n".join(lines) + "\n"
-
 
 @given(text=mutated_constraint_files())
 @SETTINGS
