@@ -7,15 +7,17 @@ arguments.  Flow-insensitively: a local *escapes* iff some pointer not
 owned by its function may point to it.
 
 Works on :class:`~repro.frontend.generator.GeneratedProgram`, whose
-qualified names (``"fn::var"``) carry ownership.
+qualified names (``"fn::var"``) carry ownership, read through
+:attr:`~repro.constraints.model.ConstraintSystem.owners`.  The holders'
+points-to sets are unioned once per owner, so each owner's reach is
+classified once rather than fact by fact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.analysis.solution import PointsToSolution
-from repro.constraints.model import owner_of
 from repro.frontend.generator import GeneratedProgram
 
 
@@ -26,28 +28,24 @@ class EscapeAnalysis:
         self.program = program
         self.solution = solution
         self.system = program.system
-        self._escaped = self._compute()
-
-    def _compute(self) -> Set[int]:
-        """Locations pointed to by anything outside their owner."""
-        system = self.system
-        escaped: Set[int] = set()
-        owner_cache: Dict[int, Optional[str]] = {}
-
-        def owner(node: int) -> Optional[str]:
-            cached = owner_cache.get(node)
-            if node not in owner_cache:
-                cached = owner_of(system.name_of(node))
-                owner_cache[node] = cached
-            return cached
-
-        for holder in range(system.num_vars):
-            holder_owner = owner(holder)
-            for loc in self.solution.points_to(holder):
-                loc_owner = owner(loc)
-                if loc_owner is not None and loc_owner != holder_owner:
-                    escaped.add(loc)
-        return escaped
+        owners = self.system.owners
+        # owner -> its holders' distinct points-to sets, keyed by identity
+        sets: Dict[Optional[str], Dict[int, FrozenSet[int]]] = {}
+        for holder, pts in solution.items():
+            sets.setdefault(owners[holder], {})[id(pts)] = pts
+        #: owner (``None`` for unowned holders) -> every location its
+        #: holders may point to.
+        self._reach: Dict[Optional[str], FrozenSet[int]] = {
+            owner: frozenset().union(*distinct.values())
+            for owner, distinct in sets.items()
+        }
+        #: Locations pointed to by anything outside their owner.
+        self._escaped = frozenset(
+            loc
+            for owner, reach in self._reach.items()
+            for loc in reach
+            if owners[loc] is not None and owners[loc] != owner
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -60,7 +58,7 @@ class EscapeAnalysis:
     def escaped_nodes(self) -> FrozenSet[int]:
         """Node ids of every escaping function-local object — the
         thread-shared candidates the race detector starts from."""
-        return frozenset(self._escaped)
+        return self._escaped
 
     def escaped_locals(self) -> List[str]:
         """Qualified names of all escaping function-local objects."""
@@ -74,16 +72,9 @@ class EscapeAnalysis:
         site is stack-allocatable iff only pointers of a single function
         may reach it.
         """
-        system = self.system
-        holders: Dict[int, Set[Optional[str]]] = {}
-        for holder in range(system.num_vars):
-            holder_owner = owner_of(system.name_of(holder))
-            for loc in self.solution.points_to(holder):
-                holders.setdefault(loc, set()).add(holder_owner)
         result = []
         for heap_node in self.program.heap_nodes:
-            owners = holders.get(heap_node, set())
-            named = {o for o in owners if o is not None}
-            if len(named) == 1 and None not in owners:
-                result.append(system.name_of(heap_node))
+            owners = {o for o, reach in self._reach.items() if heap_node in reach}
+            if len(owners) == 1 and None not in owners:
+                result.append(self.system.name_of(heap_node))
         return sorted(result)

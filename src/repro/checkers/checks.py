@@ -261,7 +261,7 @@ def check_invalid_field_offset(ctx: CheckContext) -> Iterator[Diagnostic]:
         else:
             continue
         prov = constraint.prov
-        if prov is not None and prov.construct in ("IndirectCall", "Call"):
+        if prov is not None and prov.is_call:
             continue  # call desugarings belong to bad-indirect-call
         pts = ctx.pts(pointer)
         if not pts:

@@ -3,20 +3,21 @@
 A :class:`CheckContext` bundles the constraint system, the solved
 points-to relation and (when the input came through the C front-end) the
 :class:`~repro.frontend.generator.GeneratedProgram` naming metadata.  It
-pre-indexes what every checker needs — deref sites with their provenance,
-location classification by naming convention, address-taken lines — so
-individual checkers stay small and none re-walks the constraint list.
+answers what every checker asks — deref sites with their provenance,
+location classes, address-taken lines — so individual checkers stay
+small and none re-walks the constraint list.  Location classes come from
+the front end's naming convention, read through the owner and block
+tables of :class:`~repro.constraints.model.ConstraintSystem`.
 
 The ``program`` field is optional on purpose: ``repro check`` also
 accepts ``.cons`` files (including minimized repros out of ``repro
-reduce``), where classification falls back to the front-end naming
-conventions baked into the variable names.
+reduce``), where the special locations are recovered from the names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import (
@@ -24,7 +25,8 @@ from repro.constraints.model import (
     ConstraintKind,
     ConstraintSystem,
     Provenance,
-    owner_of,
+    is_heap_name,
+    is_synthetic_name,
 )
 from repro.frontend.generator import GeneratedProgram
 
@@ -90,20 +92,13 @@ class CheckContext:
             for node, name in enumerate(system.names):
                 if name == "<null>":
                     self.null_node = node
-                elif name.startswith("heap@"):
+                elif is_heap_name(name):
                     self.heap_nodes.append(node)
 
-        self._owner_cache: Dict[int, Optional[str]] = {}
+        self._owners = system.owners
+        self._block_of = system.block_of
         self._base_lines: Optional[Dict[int, Provenance]] = None
-        self._pts_cache: Dict[int, object] = {}
         self._local_nodes: Optional[frozenset] = None
-        # Function-block satellites (the function variable, its return
-        # slot, its parameters): never part of the global namespace.
-        self._function_block_nodes = set()
-        for info in self.functions.values():
-            self._function_block_nodes.update(
-                range(info.node, info.node + info.block_size)
-            )
 
     def dataflow_view(
         self,
@@ -138,34 +133,29 @@ class CheckContext:
         return self.system.name_of(node)
 
     def owner(self, node: int) -> Optional[str]:
-        if node not in self._owner_cache:
-            self._owner_cache[node] = owner_of(self.system.name_of(node))
-        return self._owner_cache[node]
+        return self._owners[node]
 
     def is_function(self, node: int) -> bool:
         return node in self.functions
 
     def is_heap(self, node: int) -> bool:
-        return self.system.name_of(node).startswith("heap@")
-
-    def is_synthetic_object(self, node: int) -> bool:
-        """Strings, externs, field variables, the null object."""
-        name = self.system.name_of(node)
-        return name.startswith(("str@", "<extern:", "<field:", "<null>"))
+        return is_heap_name(self.system.name_of(node))
 
     def is_local(self, node: int) -> bool:
         """A function-owned stack location (local, param or temporary)."""
-        return self.owner(node) is not None and not self.is_function(node)
+        return self._owners[node] is not None and node not in self.functions
 
     def is_global_var(self, node: int) -> bool:
-        """A named file-scope variable — lives for the whole execution."""
-        if node in self._function_block_nodes:
+        """A named file-scope variable — lives for the whole execution.
+
+        Function-block members (the function variable, its return slot,
+        its parameters) are never part of the global namespace."""
+        if self._block_of[node] in self.functions:
             return False
-        if self.owner(node) is not None:
+        if self._owners[node] is not None:
             return False
-        if self.is_heap(node) or self.is_synthetic_object(node):
-            return False
-        return True
+        name = self.system.name_of(node)
+        return not (is_heap_name(name) or is_synthetic_name(name))
 
     def local_nodes(self) -> frozenset:
         """All function-owned stack locations, computed once.
@@ -206,7 +196,7 @@ class CheckContext:
         if site.offset == 0:
             return False
         if site.prov is not None:
-            return site.prov.construct == "IndirectCall" or bool(site.prov.site)
+            return site.prov.is_call
         return any(loc in self.functions for loc in self.pts(site.pointer))
 
     def address_taken_prov(self, loc: int) -> Optional[Provenance]:
@@ -237,14 +227,8 @@ class CheckContext:
     # Points-to shorthands
     # ------------------------------------------------------------------
 
-    def pts(self, var: int):
-        """``points_to`` with per-context memoization: the checkers ask
-        about overlapping pointer populations."""
-        cached = self._pts_cache.get(var)
-        if cached is None:
-            cached = self.solution.points_to(var)
-            self._pts_cache[var] = cached
-        return cached
+    def pts(self, var: int) -> FrozenSet[int]:
+        return self.solution.points_to(var)
 
     def describe(self, node: int) -> str:
         """A message-friendly name: strips generator temporary noise."""

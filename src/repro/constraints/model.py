@@ -27,6 +27,10 @@ parameters occupies ``n + 2`` consecutive ids::
 An offset dereference ``v + k`` is only meaningful when ``v`` is a function
 node whose layout extends at least ``k`` slots; other targets are skipped,
 recorded in :attr:`ConstraintSystem.max_offset`.
+
+The front end's naming rules live here too (:func:`owner_of`,
+:func:`is_heap_name`, :func:`is_synthetic_name`), with the per-variable
+tables :attr:`ConstraintSystem.owners` and :attr:`ConstraintSystem.block_of`.
 """
 
 from __future__ import annotations
@@ -77,6 +81,14 @@ class Provenance:
     construct: str = ""
     synthesized: bool = False
     site: int = 0
+
+    @property
+    def is_call(self) -> bool:
+        """Whether the row belongs to a call's desugaring: an indirect
+        call's offset store or load, or any row stamped with a call-site
+        id (direct-call copies, and the calls stubs make through a
+        function pointer)."""
+        return self.construct == "IndirectCall" or self.site > 0
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         tag = f"{self.construct or '?'}@{self.line}"
@@ -313,6 +325,18 @@ class ConstraintSystem:
     def object_blocks(self) -> Dict[int, "ObjectBlock"]:
         return dict(self._object_blocks)
 
+    @property
+    def owners(self) -> Tuple[Optional[str], ...]:
+        """:func:`owner_of` of each variable's name, computed once per system."""
+        return self.derived("owners", lambda s: tuple(map(owner_of, s._names)))
+
+    @property
+    def block_of(self) -> Tuple[Optional[int], ...]:
+        """Per variable, the base id of the function or object block that
+        holds it (a base holds itself), else ``None``; computed once per
+        system."""
+        return self.derived("block_of", _block_table)
+
     def by_kind(self, kind: ConstraintKind) -> Iterator[Constraint]:
         return (c for c in self._constraints if c.kind is kind)
 
@@ -389,6 +413,14 @@ class ConstraintSystem:
         )
 
 
+def _block_table(system: ConstraintSystem) -> Tuple[Optional[int], ...]:
+    table: List[Optional[int]] = [None] * system.num_vars
+    for layout in (*system._functions.values(), *system._object_blocks.values()):
+        base = layout.node
+        table[base : base + layout.block_size] = [base] * layout.block_size
+    return tuple(table)
+
+
 def owner_of(name: str) -> Optional[str]:
     """Owning function of a front-end variable name, or ``None`` for
     globals, heap sites and other unowned names.
@@ -401,3 +433,16 @@ def owner_of(name: str) -> Optional[str]:
     if "$" in name:
         return name.split("$", 1)[0] or None
     return None
+
+
+def is_heap_name(name: str) -> bool:
+    """A heap allocation site, ``heap@<line>#<k>``, or one of its fields."""
+    return name.startswith("heap@")
+
+
+def is_synthetic_name(name: str) -> bool:
+    """An object the front end invents rather than a program variable:
+    a string literal (``str@<line>#<k>``), the null object (``<null>``),
+    an unsummarized external's object (``<extern:name>``) or a
+    field-based mode field variable (``<field:name>``)."""
+    return name.startswith(("str@", "<extern:", "<field:", "<null>"))

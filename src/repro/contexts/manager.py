@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import (
@@ -106,7 +106,6 @@ from repro.constraints.model import (
     ConstraintKind,
     ConstraintSystem,
     Provenance,
-    owner_of,
 )
 from repro.contexts.callstring import (
     EMPTY,
@@ -249,25 +248,21 @@ def _expand(system: ConstraintSystem, k: int) -> ContextExpansion:
     # ------------------------------------------------------------------
     # Layout: block membership and cloneable locals
     # ------------------------------------------------------------------
-    member_owner: Dict[int, int] = {}
-    block_interior: Set[int] = set()
-    for node, info in functions.items():
-        for var in range(node, node + info.block_size):
-            member_owner[var] = node
-            if var != node:
-                block_interior.add(var)
-    obj_member: Set[int] = set()
-    for node, block in system.object_blocks.items():
-        obj_member.update(range(node, node + block.block_size))
+    # block_of[var] is the function node of every var in block_interior.
+    block_of = system.block_of
+    block_interior: Set[int] = {
+        var
+        for var, block in enumerate(block_of)
+        if block in functions and block != var
+    }
 
     address_taken = set(system.address_taken())
     fn_by_name = {info.name: node for node, info in functions.items()}
 
     local_owner: Dict[int, int] = {}
-    for var in range(num_vars):
-        if var in member_owner or var in obj_member or var in address_taken:
+    for var, owner_name in enumerate(system.owners):
+        if block_of[var] is not None or var in address_taken:
             continue
-        owner_name = owner_of(names[var])
         owner = fn_by_name.get(owner_name) if owner_name is not None else None
         if owner is not None:
             local_owner[var] = owner
@@ -279,13 +274,13 @@ def _expand(system: ConstraintSystem, k: int) -> ContextExpansion:
         if var in local_owner:
             return local_owner[var]
         if var in block_interior:
-            return member_owner[var]
+            return block_of[var]
         return None
 
     def current_owner(var: int) -> Optional[int]:
         """Function whose contexts ``var`` is instantiated under (or None)."""
         if var in block_interior:
-            owner = member_owner[var]
+            owner = block_of[var]
             return owner if fn_cloneable[owner] else None
         return local_owner.get(var)
 
@@ -300,7 +295,7 @@ def _expand(system: ConstraintSystem, k: int) -> ContextExpansion:
 
     for site in sites.values():
         _classify_site(
-            site, constraints, block_interior, member_owner, initial_owner
+            site, constraints, block_interior, block_of, initial_owner
         )
         if site.kind == "direct":
             stats.direct_sites += 1
@@ -334,7 +329,7 @@ def _expand(system: ConstraintSystem, k: int) -> ContextExpansion:
             # pointer reach only the base block, so the function cannot
             # be cloned soundly.
             if con.kind is ConstraintKind.BASE and con.src in block_interior:
-                if demote_function(member_owner[con.src]):
+                if demote_function(block_of[con.src]):
                     changed = True
             owners = {
                 owner
@@ -351,8 +346,8 @@ def _expand(system: ConstraintSystem, k: int) -> ContextExpansion:
                     del local_owner[var]
                     stats.demoted_locals += 1
                     changed = True
-                elif var in block_interior and fn_cloneable[member_owner[var]]:
-                    demote_function(member_owner[var])
+                elif var in block_interior and fn_cloneable[block_of[var]]:
+                    demote_function(block_of[var])
                     changed = True
 
     # ------------------------------------------------------------------
@@ -607,11 +602,9 @@ def _bootstrap_slice(
     equals the whole system's.  The rows come back in input order.
     """
     constraints = system.constraints
-    writable: Set[int] = set()
-    for node, info in system.functions.items():
-        writable.update(range(node, node + info.block_size))
-    for node, block in system.object_blocks.items():
-        writable.update(range(node, node + block.block_size))
+    writable: Set[int] = {
+        var for var, block in enumerate(system.block_of) if block is not None
+    }
     # The kinds are bound to locals: an enum attribute lookup per row
     # costs more than the rest of this pass.
     base = ConstraintKind.BASE
@@ -669,7 +662,7 @@ def _classify_site(
     site: _Site,
     constraints,
     block_interior: Set[int],
-    member_owner: Dict[int, int],
+    block_of: Sequence[Optional[int]],
     initial_owner,
 ) -> None:
     """Decide whether ``site`` is a well-formed direct or indirect call.
@@ -692,14 +685,14 @@ def _classify_site(
             options: List[Tuple[str, int]] = []
             if (
                 con.dst in block_interior
-                and con.dst - member_owner[con.dst] >= PARAM_OFFSET
+                and con.dst - block_of[con.dst] >= PARAM_OFFSET
             ):
-                options.append(("arg", member_owner[con.dst]))
+                options.append(("arg", block_of[con.dst]))
             if (
                 con.src in block_interior
-                and con.src - member_owner[con.src] == RETURN_OFFSET
+                and con.src - block_of[con.src] == RETURN_OFFSET
             ):
-                options.append(("ret", member_owner[con.src]))
+                options.append(("ret", block_of[con.src]))
             if not options:
                 return
             interps.append(options)

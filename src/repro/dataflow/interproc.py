@@ -22,7 +22,7 @@ from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.solution import PointsToSolution
-from repro.constraints.model import ConstraintKind, ConstraintSystem, owner_of
+from repro.constraints.model import ConstraintKind, ConstraintSystem
 
 
 class FunctionGraph:
@@ -33,6 +33,7 @@ class FunctionGraph:
     ) -> None:
         self.system = system
         self.functions = system.functions
+        self._owners = system.owners
         self._fn_by_name: Dict[str, int] = {
             info.name: node for node, info in self.functions.items()
         }
@@ -65,7 +66,7 @@ class FunctionGraph:
         return self._fn_by_name.get("main")
 
     def _owner_function(self, node: int) -> Optional[int]:
-        owner = owner_of(self.system.name_of(node))
+        owner = self._owners[node]
         if owner is None:
             return None
         return self._fn_by_name.get(owner)
@@ -142,7 +143,7 @@ class FunctionGraph:
                     if caller is not None:
                         self.edges.add((caller, callee, prov.line))
             elif kind is ConstraintKind.LOAD and constraint.offset:
-                if prov.construct == "IndirectCall" or prov.site > 0:
+                if prov.is_call:
                     caller = self.attribute(
                         [constraint.dst, constraint.src], prov.line
                     )
@@ -151,7 +152,7 @@ class FunctionGraph:
                     for callee in site_graph.callees(constraint.src):
                         self.edges.add((caller, callee, prov.line))
             elif kind is ConstraintKind.STORE and constraint.offset:
-                if prov.construct == "IndirectCall" or prov.site > 0:
+                if prov.is_call:
                     caller = self.attribute(
                         [constraint.src, constraint.dst], prov.line
                     )

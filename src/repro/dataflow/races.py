@@ -32,7 +32,11 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.alias import AliasAnalysis
 from repro.analysis.mod_ref import ModRefAnalysis
 from repro.analysis.solution import PointsToSolution
-from repro.constraints.model import ConstraintKind, ConstraintSystem, owner_of
+from repro.constraints.model import (
+    ConstraintKind,
+    ConstraintSystem,
+    is_synthetic_name,
+)
 from repro.dataflow.engine import IntersectDataflow
 from repro.dataflow.events import LockOp, ThreadSpawn
 from repro.dataflow.interproc import FunctionGraph
@@ -66,21 +70,20 @@ class RaceFinding:
 def shared_locations(
     system: ConstraintSystem, escaped: AbstractSet[int]
 ) -> Set[int]:
-    """Locations more than one thread could reach: escaped locals plus
-    globals and heap objects (function blocks and synthetic objects —
-    strings, externs, ``<null>`` — excluded)."""
-    block_nodes: Set[int] = set()
-    for info in system.functions.values():
-        block_nodes.update(range(info.node, info.node + info.block_size))
-    shared: Set[int] = set()
-    for node, name in enumerate(system.names):
-        if node in block_nodes:
-            continue
-        if name.startswith(("str@", "<", "tmp")):
-            continue
-        if owner_of(name) is None or node in escaped:
-            shared.add(node)
-    return shared
+    """Locations more than one thread could reach: the nodes in no
+    function block and of no synthetic object (strings, externs, field
+    variables, ``<null>``) that are unowned (globals and heap objects)
+    or escaped."""
+    functions = system.functions
+    block_of = system.block_of
+    owners = system.owners
+    return {
+        node
+        for node, name in enumerate(system.names)
+        if block_of[node] not in functions
+        and not is_synthetic_name(name)
+        and (owners[node] is None or node in escaped)
+    }
 
 
 def _spawn_threads(
@@ -191,9 +194,7 @@ def _collect_accesses(
             continue
         line = prov.line
         kind = constraint.kind
-        is_call = constraint.offset > 0 and (
-            prov.construct == "IndirectCall" or prov.site > 0
-        )
+        is_call = constraint.offset > 0 and prov.is_call
         if kind is ConstraintKind.COPY or kind is ConstraintKind.OFFS:
             note(
                 graph.attribute([constraint.src, constraint.dst], line),

@@ -124,6 +124,10 @@ class BaseSolver:
 
     #: Registry name; subclasses override.
     name = "abstract"
+    #: Whether the ``pts`` family shapes the run; solvers that keep their
+    #: own representation set it False, and ``repro verify --pts all``
+    #: then runs them once.
+    reads_pts = True
 
     def __init__(
         self,

@@ -36,6 +36,7 @@ class BLQSolver(BaseSolver):
     """BDD-relational inclusion constraint solver."""
 
     name = "blq"
+    reads_pts = False
 
     #: Modelled bytes per BDD node, matching the BDD points-to family.
     BYTES_PER_NODE = 24
@@ -43,7 +44,8 @@ class BLQSolver(BaseSolver):
     def __init__(
         self, system: ConstraintSystem, interleave: bool = True, **options
     ) -> None:
-        # Always BDD-based: ``pts`` is accepted for interface parity and unused.
+        # Always BDD-based: ``pts`` is accepted for interface parity and
+        # unused (``reads_pts``).
         super().__init__(system, **options)
         system = self.system  # the (possibly) offline-reduced system
         n = max(system.num_vars, 1)

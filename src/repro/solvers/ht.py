@@ -14,10 +14,11 @@ analysis is done.  The redundancy the paper describes ("it is impossible
 to know whether a reachability query will encounter a newly-added
 inclusion edge ... until after it completes") is exactly these re-queries.
 
-Cycle detection comes for free: the query DFS is a Tarjan pass, and every
-SCC it closes is collapsed before its points-to set is computed — this is
-why HT searches only "the subset of the graph necessary for resolving
-indirect constraints" (Section 5.3).
+Cycle detection comes for free: the query DFS is a Tarjan pass
+(:func:`~repro.graph.scc.tarjan_scc` over the preds not yet resolved this
+round), and every SCC it closes is collapsed before its points-to set is
+computed — this is why HT searches only "the subset of the graph
+necessary for resolving indirect constraints" (Section 5.3).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintKind, ConstraintSystem
 from repro.datastructs.sparse_bitmap import SparseBitmap
 from repro.datastructs.union_find import UnionFind
+from repro.graph.scc import tarjan_scc
 from repro.points_to.interface import PointsToSet, make_family
 from repro.solvers.base import BaseSolver
 
@@ -186,63 +188,22 @@ class HTSolver(BaseSolver):
 
     def _query(self, node: int) -> PointsToSet:
         uf = self.uf
+        cache = self._cache
         root = uf.find(node)
-        cached = self._cache.get(root)
+        cached = cache.get(root)
         if cached is not None:
             return cached
 
-        index: Dict[int, int] = {}
-        lowlink: Dict[int, int] = {}
-        on_stack: Set[int] = set()
-        scc_stack: List[int] = []
-        counter = 0
+        def unresolved_preds(n: int) -> List[int]:
+            self.stats.nodes_searched += 1  # once per node the search visits
+            preds = [uf.find(pred) for pred in self.preds[n]]
+            return [pred for pred in preds if pred not in cache]
 
-        def normalized_preds(n: int) -> List[int]:
-            return [uf.find(p) for p in self.preds[n]]
-
-        work = [(root, iter(normalized_preds(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack.add(root)
-        self.stats.nodes_searched += 1
-
-        while work:
-            current, pred_iter = work[-1]
-            advanced = False
-            for pred in pred_iter:
-                pred = uf.find(pred)
-                if pred in self._cache:
-                    continue  # already resolved this round
-                if pred not in index:
-                    index[pred] = lowlink[pred] = counter
-                    counter += 1
-                    scc_stack.append(pred)
-                    on_stack.add(pred)
-                    self.stats.nodes_searched += 1
-                    work.append((pred, iter(normalized_preds(pred))))
-                    advanced = True
-                    break
-                if pred in on_stack and index[pred] < lowlink[current]:
-                    lowlink[current] = index[pred]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[current] < lowlink[parent]:
-                    lowlink[parent] = lowlink[current]
-            if lowlink[current] == index[current]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == current:
-                        break
-                self._finish_component(component)
-
-        return self._cache[uf.find(root)]
+        # Tarjan emits every component after the components its preds
+        # fall in, so each one finishes with its external preds memoized.
+        for component in tarjan_scc([root], unresolved_preds):
+            self._finish_component(component)
+        return cache[uf.find(root)]
 
     def _finish_component(self, component: List[int]) -> None:
         """Collapse a completed SCC and compute its points-to set."""

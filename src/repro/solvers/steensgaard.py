@@ -45,6 +45,7 @@ class SteensgaardSolver(BaseSolver):
     """
 
     name = "steensgaard"
+    reads_pts = False
 
     def __init__(self, system: ConstraintSystem, **options) -> None:
         # ``pts`` is accepted for interface parity and unused, and HCD is
@@ -192,11 +193,11 @@ class SteensgaardSolver(BaseSolver):
         locations = set(self.system.address_taken())
         locations.update(self.system.functions)
         # Block slots can enter points-to sets through offset copies.
-        for info in self.system.functions.values():
-            locations.add(info.return_node)
-            locations.update(info.param_nodes)
-        for block in self.system.object_blocks.values():
-            locations.update(block.field_nodes)
+        locations.update(
+            var
+            for var, block in enumerate(self.system.block_of)
+            if block is not None and block != var
+        )
         return sorted(locations)
 
     def _export_solution(self) -> PointsToSolution:

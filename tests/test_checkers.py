@@ -7,6 +7,9 @@ the call-graph parameter-offset edge cases ``bad-indirect-call``
 mirrors, and ``PointsToSolution.intersects``.
 """
 
+import pathlib
+import re
+
 import pytest
 
 from repro.analysis.alias import AliasAnalysis
@@ -26,6 +29,8 @@ from repro.checkers.registry import _REGISTRY
 from repro.constraints.builder import ConstraintBuilder
 from repro.frontend import generate_constraints
 from repro.solvers.registry import solve
+
+CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
 
 BUILTINS = {
     "null-deref",
@@ -171,6 +176,18 @@ class TestCheckersUnit:
             "}"
         )
         assert not list(findings)
+
+    def test_race_on_a_global_whatever_its_name(self):
+        """A global is shared whatever its name: the corpus write/write
+        race on ``slot`` is reported on ``tmpslot`` as well."""
+        source = (CORPUS / "buggy" / "race_global.c").read_text()
+        findings = check_source(re.sub(r"\bslot\b", "tmpslot", source))
+        assert [(d.rule, d.line) for d in findings] == [("race", 8)]
+        assert findings.diagnostics[0].message == (
+            "possible data race on 'tmpslot': write in worker() at line 8 "
+            "(thread@12) conflicts with write in main() at line 13 (main) "
+            "with no common lock"
+        )
 
     def test_invalid_field_offset_requires_sensitivity(self):
         source = (

@@ -282,6 +282,24 @@ class TestAlgorithmLists:
         assert err.startswith(f"error: {message}")
         assert builds == []
 
+    def test_verify_runs_a_pts_blind_solver_once(
+        self, constraint_file, builds, capsys
+    ):
+        """BLQ and Steensgaard ignore ``pts``: ``verify --pts all`` runs
+        each once and shows ``-`` for its family."""
+        code, out, _ = run_cli(
+            ["verify", constraint_file, "--algorithms", "blq,lcd,blq+hcd",
+             "--pts", "all"],
+            capsys,
+        )
+        assert code == 0
+        assert builds == ["blq", "lcd", "lcd", "lcd", "blq+hcd"]
+        rows = [line.split()[:2] for line in out.splitlines() if "ACCEPT" in line]
+        assert rows == [
+            ["blq", "-"], ["lcd", "bitmap"], ["lcd", "bdd"], ["lcd", "int"],
+            ["blq+hcd", "-"],
+        ]
+
     def test_names_are_stripped(self, constraint_file, builds, capsys):
         code, _, err = run_cli(
             ["compare", constraint_file, "--algorithms", " naive , steensgaard"],

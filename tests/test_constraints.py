@@ -1,6 +1,7 @@
 """Tests for the constraint model, builder and text format."""
 
 import copy
+import pathlib
 import pickle
 
 import pytest
@@ -16,11 +17,19 @@ from repro.constraints.model import (
     ConstraintSystem,
     FunctionInfo,
     Provenance,
+    is_heap_name,
+    is_synthetic_name,
+    owner_of,
 )
 from repro.constraints.parser import (
     ConstraintParseError,
     dumps_constraints,
     loads_constraints,
+)
+from repro.frontend import generate_constraints
+
+CORPUS_PROGRAMS = sorted(
+    (pathlib.Path(__file__).resolve().parent / "corpus").glob("*/*.c")
 )
 
 
@@ -383,3 +392,49 @@ class TestOffsetCopyAndBlocks:
         b.offset_assign(q, p, 1)
         solution = solve(b.build(), "naive")
         assert solution.points_to(q) == frozenset()
+
+
+class TestNameTables:
+    """The front end's naming and layout rules, owned by the model."""
+
+    @pytest.mark.parametrize("field_mode", ["insensitive", "sensitive"])
+    @pytest.mark.parametrize("path", CORPUS_PROGRAMS, ids=lambda p: p.name)
+    def test_tables_match_names_and_layout(self, path, field_mode):
+        system = generate_constraints(path.read_text(), field_mode=field_mode).system
+        assert system.owners == tuple(owner_of(name) for name in system.names)
+        expected = [None] * system.num_vars
+        for info in system.functions.values():
+            for var in (info.node, info.return_node, *info.param_nodes):
+                expected[var] = info.node
+        for block in system.object_blocks.values():
+            for var in (block.node, *block.field_nodes):
+                expected[var] = block.node
+        assert system.block_of == tuple(expected)
+
+    def test_tables_are_computed_once_per_system(self):
+        b = ConstraintBuilder()
+        b.function("f", params=["x"])
+        b.object_block("s", ["a"])
+        b.var("f::y")
+        system = b.build()
+        assert system.owners is system.owners
+        assert system.block_of is system.block_of
+        assert system.block_of == (0, 0, 0, 3, 3, None)
+        assert system.owners[5] == "f"
+        copy_ = system.with_constraints(system.constraints)
+        assert copy_.block_of == system.block_of
+        assert copy_.block_of is not system.block_of
+
+    def test_name_classes(self):
+        assert is_heap_name("heap@4#1") and is_heap_name("heap@4#1.next")
+        for name in ("str@3#2", "<null>", "<extern:getenv>", "<field:next>"):
+            assert is_synthetic_name(name) and not is_heap_name(name)
+        for name in ("tmpslot", "main::x", "<global>$tmp1@2", "heap@4#1"):
+            assert not is_synthetic_name(name)
+
+    def test_call_rows(self):
+        assert Provenance(construct="IndirectCall").is_call
+        assert Provenance(construct="Call", site=3).is_call
+        assert Provenance(construct="Assign", site=1).is_call
+        assert not Provenance(construct="Call").is_call
+        assert not Provenance(construct="Deref", line=4).is_call
